@@ -66,7 +66,6 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
       opts.bloom_bits_per_key = options_.bloom_bits_per_key;
       opts.memory_budget_bytes = options_.memory_budget_bytes;
       opts.arbiter_interval_ms = options_.arbiter_interval_ms;
-      opts.background_compaction = options_.background_compaction;
       opts.compaction_workers = options_.compaction_workers;
       opts.max_subcompactions = options_.max_subcompactions;
       // Keep the compactor's merge pool at least as wide as the slice
@@ -75,7 +74,6 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
         opts.major.worker_threads = options_.max_subcompactions;
       }
       opts.num_shards = options_.num_shards;
-      opts.atomic_cross_shard_batches = options_.atomic_cross_shard_batches;
       opts.compaction_policy = options_.compaction_policy;
       opts.compaction_size_ratio = options_.compaction_size_ratio;
       opts.max_ssd_levels = options_.max_ssd_levels;

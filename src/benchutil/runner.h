@@ -66,11 +66,6 @@ struct BenchEnvOptions {
   /// budget (memtable quota / block cache / keep-set τ_t).
   uint64_t memory_budget_bytes = 0;
   uint64_t arbiter_interval_ms = 250;
-  /// When false, the flush path blocks on the compaction scheduler draining
-  /// (the historical inline-compaction stall). Only meaningful for the
-  /// PM-Blade configs; used by `benchmark_kv --compaction_stall` for A/B
-  /// comparison against the backgrounded default.
-  bool background_compaction = true;
   /// Compaction scheduler pool size and per-victim key-range subcompaction
   /// fan-out for the PM-Blade configs (1/1 = the historical single-worker,
   /// one-slice pipeline). Swept by `benchmark_kv --compaction_parallel`.
@@ -89,9 +84,6 @@ struct BenchEnvOptions {
   /// pm_pool_capacity, the cost budgets) apply to EACH shard. Ignored by
   /// the baseline engines.
   uint32_t num_shards = 1;
-  /// Cross-shard WriteBatch atomicity (two-phase commit through the shard
-  /// WALs). Benches flip it off to measure the legacy non-atomic fan-out.
-  bool atomic_cross_shard_batches = true;
   std::vector<std::string> partition_boundaries;
 };
 
@@ -122,7 +114,7 @@ class BenchEnv {
   EngineConfig config() const { return config_; }
 
   /// Benches that reopen the engine per measurement point (write_scaling,
-  /// compaction_stall) may tweak these between OpenEngine calls. Takes
+  /// shard_scaling) may tweak these between OpenEngine calls. Takes
   /// effect on the next OpenEngine.
   BenchEnvOptions* mutable_options() { return &options_; }
 

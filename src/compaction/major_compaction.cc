@@ -200,21 +200,17 @@ struct MajorCompactor::SubtaskState {
   std::unique_ptr<Iterator> input;
   double ssd_fraction = 0.0;
 
-  // Output chain: builder -> chunk_file -> [buffered_file ->] raw_file.
-  // buffered_file (a DoubleBufferedFile) is present only when
-  // double_buffer_writes is on; sink() is the handle Sync/Close must go
-  // through so queued blocks are drained before the base file is sealed.
+  // Output chain: builder -> chunk_file -> buffered_file -> raw_file.
+  // Sync/Close go through buffered_file (a DoubleBufferedFile) so queued
+  // blocks are drained before the base file is sealed.
   std::unique_ptr<WritableFile> raw_file;
   std::unique_ptr<WritableFile> buffered_file;
   std::unique_ptr<ChunkingFile> chunk_file;
   std::unique_ptr<TableBuilder> builder;
   CompactionOutputMeta meta;
 
-  WritableFile* sink() {
-    return buffered_file != nullptr ? buffered_file.get() : raw_file.get();
-  }
   void CloseSink() {
-    if (sink() != nullptr) sink()->Close();
+    if (buffered_file != nullptr) buffered_file->Close();
     buffered_file.reset();
     raw_file.reset();
   }
@@ -312,13 +308,11 @@ Status MajorCompactor::Run(
       CleanupFailedRun(states, outputs);
       return open_status;
     }
-    if (options_.double_buffer_writes) {
-      st.buffered_file.reset(new DoubleBufferedFile(
-          st.raw_file.get(), options_.write_block_bytes));
-    }
+    st.buffered_file.reset(new DoubleBufferedFile(
+        st.raw_file.get(), options_.write_block_bytes));
     SubtaskState* stp = &st;
     st.chunk_file.reset(new ChunkingFile(
-        st.sink(), options_.write_block_bytes,
+        st.buffered_file.get(), options_.write_block_bytes,
         [stp](size_t bytes) { stp->pending_chunks.push_back(bytes); }));
     TableBuilderOptions topts;
     topts.comparator = fopts.icmp;
@@ -368,12 +362,12 @@ Status MajorCompactor::Run(
     }
     st.meta.file_size = st.builder->FileSize();
     st.meta.num_entries = st.builder->NumEntries();
-    // Sync through the sink: with double buffering on, this drains every
-    // queued block (surfacing any latched background-write error) before
-    // syncing the base file.
-    Status seal = st.sink()->Sync();
+    // Sync through the double buffer: this drains every queued block
+    // (surfacing any latched background-write error) before syncing the
+    // base file.
+    Status seal = st.buffered_file->Sync();
     if (seal.ok()) {
-      seal = st.sink()->Close();
+      seal = st.buffered_file->Close();
       st.buffered_file.reset();
       st.raw_file.reset();  // Close releases the handle even on error
     }
@@ -432,15 +426,18 @@ Status MajorCompactor::Run(
 
 namespace {
 
-/// Processes up to `max_records` records of `st` through the dedup filter
-/// into the builder. Returns false when the input is exhausted. Shared by
-/// all engines (this is the S2 work).
+/// Records processed per S2 slice before a coroutine yields.
+constexpr int kRecordsPerSlice = 64;
+
+/// Processes up to kRecordsPerSlice records of `st` through the dedup
+/// filter into the builder. Returns false when the input is exhausted.
+/// Shared by all engines (this is the S2 work).
 bool ProcessSlice(MajorCompactor::SubtaskState* st,
-                  const InternalKeyComparator& icmp, int max_records,
-                  bool drop_tombstones, SequenceNumber oldest_snapshot) {
+                  const InternalKeyComparator& icmp, bool drop_tombstones,
+                  SequenceNumber oldest_snapshot) {
   Iterator* in = st->input.get();
   int processed = 0;
-  while (in->Valid() && processed < max_records) {
+  while (in->Valid() && processed < kRecordsPerSlice) {
     ParsedInternalKey parsed;
     if (!ParseInternalKey(in->key(), &parsed)) {
       st->status = Status::Corruption("major compaction: bad internal key");
@@ -506,8 +503,7 @@ Status MajorCompactor::RunThreadEngine(std::vector<SubtaskState>& states) {
       while (more) {
         {
           ScopedTimer timer(clock_, &st.cpu_work_nanos);
-          more = ProcessSlice(&st, *icmp, options_.records_per_slice,
-                              st.drop_tombstones,
+          more = ProcessSlice(&st, *icmp, st.drop_tombstones,
                               options_.oldest_snapshot);
         }
         if (!st.status.ok()) break;
@@ -582,8 +578,7 @@ Task CompactionCoroutine(WorkerContext* ctx) {
     bool more = true;
     while (more) {
       // S2: merge a slice of records.
-      more = ProcessSlice(st, *ctx->icmp, ctx->options->records_per_slice,
-                          st->drop_tombstones,
+      more = ProcessSlice(st, *ctx->icmp, st->drop_tombstones,
                           ctx->options->oldest_snapshot);
       if (!st->status.ok()) break;
 

@@ -17,6 +17,10 @@ namespace pmblade {
 
 namespace {
 
+/// Upper bound on one group-commit batch: the leader stops coalescing
+/// follower batches past this many WAL bytes.
+constexpr size_t kWriteGroupMaxBytes = 1 << 20;
+
 std::string WalFileName(const std::string& dbname, uint64_t number) {
   char buf[64];
   snprintf(buf, sizeof(buf), "/wal-%06llu.log",
@@ -478,7 +482,6 @@ Status DBImpl::Init() {
   // thread/lock model). Created before recovery so manual compactions work
   // immediately after Open.
   CompactionScheduler::Options copts;
-  copts.retry_limit = options_.compaction_retry_limit;
   copts.workers = options_.compaction_workers;
   copts.event_bus = &events_;
   copts.metrics = &metrics_;
@@ -1345,10 +1348,9 @@ WriteBatch* DBImpl::BuildBatchGroup(WriterState** last_writer, bool* sync,
   *last_writer = first;
   *num_members = 1;
 
-  // Cap the group: never past the configured bound, and tighter when the
-  // leader itself is small so tiny writes aren't delayed behind megabytes
-  // of followers.
-  size_t max_size = options_.write_group_max_bytes;
+  // Cap the group at 1 MiB, and tighter when the leader itself is small so
+  // tiny writes aren't delayed behind megabytes of followers.
+  size_t max_size = kWriteGroupMaxBytes;
   if (size <= (128 << 10) && size + (128 << 10) < max_size) {
     max_size = size + (128 << 10);
   }
@@ -1506,7 +1508,7 @@ void DBImpl::BackgroundFlush() {
   it.reset();
   PMBLADE_SYNC_POINT("DBImpl::BackgroundFlush:BuiltTables");
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (s.ok()) {
     // Install under a short critical section: newest first per partition.
     std::vector<Partition*> touched;
@@ -1559,23 +1561,11 @@ void DBImpl::BackgroundFlush() {
                     static_cast<double>(clock_->NowNanos() - flush_start)));
     }
     if (s.ok()) {
-      if (options_.background_compaction) {
-        // The flush is committed and imm_ is clear: wake stalled writers
-        // NOW. Algorithm 1 is handed to the scheduler below and must not
-        // extend the stall (writers used to sleep through an entire major
-        // compaction here).
-        flush_done_cv_.notify_all();
-        ScheduleCompactionCheck(touched);
-      } else {
-        // A/B benchmarking mode: historical inline behaviour. The work
-        // still executes on the scheduler thread (single-compactor
-        // invariant), but this flush thread blocks until it drains, holding
-        // stalled writers down for the compaction's duration.
-        ScheduleCompactionCheck(touched);
-        lock.unlock();
-        compaction_scheduler_->WaitIdle();
-        lock.lock();
-      }
+      // The flush is committed and imm_ is clear: wake stalled writers
+      // NOW. Algorithm 1 is handed to the scheduler and must not extend
+      // the stall.
+      flush_done_cv_.notify_all();
+      ScheduleCompactionCheck(touched);
     }
   } else {
     // Failed build: drop partial outputs. imm_ stays installed for reads
@@ -1616,8 +1606,9 @@ Status DBImpl::FlushMemTable() {
   // Algorithm-1 work triggered by this flush runs on the compaction
   // scheduler; drain it so maintenance callers (tests, CompactToLevel1, the
   // crash model) observe the post-compaction state deterministically.
-  // Bounded even when the env is dying: failed checks retry at most
-  // compaction_retry_limit times, then the scheduler parks.
+  // Bounded even when the env is dying: failed checks retry a bounded
+  // number of times (CompactionScheduler::Options::retry_limit), then the
+  // scheduler parks.
   compaction_scheduler_->WaitIdle();
   return Status::OK();
 }

@@ -59,11 +59,6 @@ struct Options {
   /// durability for free, and N concurrent synced writers cost far fewer
   /// than N fsyncs.
   bool sync_wal = false;
-  /// Upper bound on one group-commit batch (the leader stops coalescing
-  /// follower batches past this many WAL bytes). Small writes are capped
-  /// tighter (128 KiB + own size) so a tiny write is never stuck behind a
-  /// megabyte of followers.
-  size_t write_group_max_bytes = 1 << 20;
   /// Backpressure (slowdown-then-stop). When a background flush is still
   /// running and the active memtable has filled past
   /// `write_slowdown_watermark * memtable_bytes`, each write is delayed
@@ -87,16 +82,6 @@ struct Options {
   /// shard; block_cache_bytes and memory_budget_bytes stay process-wide
   /// (one shared cache, one arbiter over every shard's quotas).
   uint32_t num_shards = 1;
-  /// Cross-shard batch atomicity (num_shards > 1 only). true (default): a
-  /// WriteBatch spanning several shards commits through a two-phase
-  /// protocol woven into the per-shard WALs — parallel prepare wave (one
-  /// fsync per shard, concurrently), then commit markers — and recovery
-  /// resolves in-doubt transactions so reopen is always all-or-nothing.
-  /// false: the legacy behavior — sub-batches commit independently (still
-  /// fanned out in parallel) and a crash between shard commits can leave a
-  /// batch half-applied. Single-shard batches always take the marker-free
-  /// fast path regardless of this flag.
-  bool atomic_cross_shard_batches = true;
   /// Internal (set by ShardedDB): a process-wide block cache this engine
   /// must use instead of creating its own from block_cache_bytes. Not
   /// owned; must outlive the DB.
@@ -140,22 +125,10 @@ struct Options {
   MajorCompactionOptions major;
 
   // ---- compaction scheduling ----
-  /// Run Algorithm-1 (internal + major compaction) asynchronously on the
-  /// dedicated compaction scheduler thread. The flush thread then only
-  /// enqueues a check and returns, so writers stalled on a full memtable
-  /// resume as soon as the flush commits instead of sleeping through the
-  /// whole compaction. When false, the flush thread blocks until the
-  /// scheduled compaction work has drained (the historical behaviour,
-  /// writers stall for the compaction's duration) — kept for A/B
-  /// benchmarking (`benchmark_kv --compaction_stall`). Compaction always
-  /// EXECUTES on the scheduler thread in both modes, preserving the
-  /// single-compactor invariant.
-  bool background_compaction = true;
-  /// Consecutive failed background compaction checks are retried up to this
-  /// many times (logged + counted, never poisoning the DB's sticky
-  /// background error) before the scheduler parks until the next flush
-  /// triggers a fresh check.
-  int compaction_retry_limit = 2;
+  // Algorithm 1 (internal + major compaction) always runs on the compaction
+  // scheduler: the flush thread only enqueues a check, so writers stalled
+  // on a full memtable resume as soon as the flush commits. A failed check
+  // is retried twice, then parks until the next flush schedules a new one.
   /// Size of the compaction scheduler's worker pool. 1 (the default) keeps
   /// the historical single-worker pipeline. With N > 1, independent
   /// Algorithm-1 checks run concurrently: each check CLAIMS the dirty

@@ -42,7 +42,11 @@ bool ParseShardProperty(const std::string& property, uint32_t num_shards,
   static constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   if (property.rfind(kPrefix, 0) != 0) return false;
   const size_t dot = property.find('.', kPrefixLen);
-  if (dot == std::string::npos || dot == kPrefixLen) return false;
+  // At most 9 digits (like the pmblade.lsm.level<i> parser), so the index
+  // cannot wrap around to a valid shard.
+  if (dot == std::string::npos || dot == kPrefixLen || dot - kPrefixLen > 9) {
+    return false;
+  }
   uint64_t index = 0;
   for (size_t i = kPrefixLen; i < dot; ++i) {
     if (property[i] < '0' || property[i] > '9') return false;
@@ -356,9 +360,6 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
     const uint32_t only = participants.front();
     return shards_[only]->Write(options, &subs[only]);
   }
-  if (!options_.atomic_cross_shard_batches) {
-    return WriteLegacy(options, subs, participants);
-  }
   return WriteAtomic(options, subs, participants);
 }
 
@@ -385,24 +386,6 @@ void ShardedDB::RunOnShards(const std::vector<uint32_t>& ids,
   fn(ids.back());
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&remaining] { return remaining == 0; });
-}
-
-Status ShardedDB::WriteLegacy(const WriteOptions& options,
-                              std::vector<WriteBatch>& subs,
-                              const std::vector<uint32_t>& participants) {
-  // Independent per-shard commits: no atomicity across shards (a crash
-  // between shard syncs can surface a torn batch), but every sub-batch is
-  // applied even after a failure, and the whole fan-out pays one parallel
-  // WAL wave instead of N sequential ones.
-  std::vector<Status> statuses(shards_.size());
-  RunOnShards(participants, [&](uint32_t shard) {
-    statuses[shard] = shards_[shard]->Write(options, &subs[shard]);
-  });
-  Status result;
-  for (uint32_t shard : participants) {
-    if (result.ok() && !statuses[shard].ok()) result = statuses[shard];
-  }
-  return result;
 }
 
 Status ShardedDB::WriteAtomic(const WriteOptions& options,

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,52 @@ TEST(CompactionPickerTest, EvictionSkipsUnclaimableAndEmptyPartitions) {
   ASSERT_TRUE(pick.evaluated);
   ASSERT_EQ(pick.jobs.size(), 1u);
   EXPECT_EQ(pick.jobs[0].partition_index, 2u);
+}
+
+// Section IV-C adaptive τ_t: a read-dominated mix widens the Eq. 3 keep
+// budget (up to tau_t_max_factor), so more partitions stay in PM; a mix
+// with at most half reads keeps the configured τ_t and the same keep set.
+TEST(CompactionPickerTest, AdaptiveTauTRetainsMoreUnderReadOnlyMix) {
+  CostModelParams params;
+  params.tau_m = 1;     // the Eq. 3 gate always fires
+  params.tau_t = 4096;  // room for exactly one 4 KB partition
+  CostModel model(params);
+  std::vector<PartitionView> views;
+  for (uint64_t i = 0; i < 4; ++i) {
+    PartitionView view = MakeView({}, /*l0_bytes=*/4096);
+    view.counters.partition_id = i;
+    view.counters.reads = 100 * (4 - i);  // partition 0 is the hottest
+    views.push_back(view);
+  }
+  auto pick_with = [&](bool adaptive, uint64_t reads, uint64_t writes) {
+    CompactionPolicyOptions opts = PolicyOpts("leveled");
+    opts.adaptive_tau_t = adaptive;
+    opts.tau_t_max_factor = 2.0;
+    PickContext ctx = MakeContext(views);
+    ctx.recent_reads = reads;
+    ctx.recent_writes = writes;
+    EvictionPick pick = MakePicker(opts, &model)->PickEviction(ctx);
+    EXPECT_TRUE(pick.evaluated);
+    return pick;
+  };
+
+  const EvictionPick fixed = pick_with(false, 1000, 0);
+  EXPECT_EQ(fixed.keep, (std::set<size_t>{0}));
+  EXPECT_EQ(fixed.jobs.size(), 3u);
+
+  // Read-only: τ_t doubles, so the two hottest partitions are kept.
+  const EvictionPick read_only = pick_with(true, 1000, 0);
+  EXPECT_EQ(read_only.tau_t, 8192u);
+  EXPECT_EQ(read_only.keep, (std::set<size_t>{0, 1}));
+  EXPECT_GT(read_only.keep.size(), fixed.keep.size());
+  EXPECT_EQ(read_only.jobs.size(), 2u);
+
+  // Read share 0.5 and below: the same keep set as with the flag off.
+  for (uint64_t reads : {500u, 200u, 0u}) {
+    const EvictionPick balanced = pick_with(true, reads, 1000 - reads);
+    EXPECT_EQ(balanced.keep, fixed.keep) << "reads=" << reads;
+    EXPECT_EQ(balanced.jobs.size(), fixed.jobs.size()) << "reads=" << reads;
+  }
 }
 
 TEST(LeveledPickerTest, MaintenanceOnlyFiresOnForeignShapes) {

@@ -126,6 +126,8 @@ TEST(CrashRecoveryTest, LazyLevelingPolicyRandomizedCycles) {
 // between the 2PC phases (tests/sharded_crash_harness.h). 500 + 200
 // sharded cycles by default; every remembered batch must recover
 // all-or-nothing, and acked cross-shard batches must recover whole.
+// atomic=false splits each cross-shard batch into sequential single-shard
+// writes on the client side (the meta-test's non-atomic commits).
 // ---------------------------------------------------------------------------
 
 ShardedCrashHarnessResult RunShardedHarness(const std::string& name,
@@ -136,7 +138,7 @@ ShardedCrashHarnessResult RunShardedHarness(const std::string& name,
   opts.seed = SeedFromEnv();
   opts.cycles = CyclesFromEnv(default_cycles);
   opts.num_shards = num_shards;
-  opts.atomic_cross_shard_batches = atomic;
+  opts.split_cross_shard_batches = !atomic;
   opts.verbose = getenv("PMBLADE_CRASH_VERBOSE") != nullptr;
   fprintf(stderr, "[sharded crash harness] %s: seed=%llu cycles=%d\n",
           name.c_str(), static_cast<unsigned long long>(opts.seed),
@@ -182,10 +184,11 @@ TEST(ShardedCrashRecoveryTest, TwoShardAtomicityRandomizedCycles) {
   EXPECT_GT(result.cross_shard_batches, 0);
 }
 
-// Meta-test: with 2PC disabled (the legacy independent commits) the same
-// harness must CATCH the atomicity violation — a power cut between two
+// Meta-test: when the client splits each cross-shard batch into one
+// single-shard write per participant (independent commits, no 2PC), the
+// same harness must CATCH the atomicity violation — a power cut between two
 // shards' WAL appends leaves a torn batch, or drops an acked cross-shard
-// batch whose durability the legacy path never upgraded. If the legacy run
+// batch whose unsynced sub-writes were never made durable. If the split run
 // survives every cycle, the checker has no teeth.
 TEST(ShardedCrashRecoveryTest, HarnessCatchesLegacyNonAtomicBatches) {
 #ifndef PMBLADE_SYNC_POINTS
@@ -195,8 +198,10 @@ TEST(ShardedCrashRecoveryTest, HarnessCatchesLegacyNonAtomicBatches) {
       RunShardedHarness("sharded_legacy", /*num_shards=*/4,
                         /*atomic=*/false, /*default_cycles=*/250);
   EXPECT_FALSE(result.ok())
-      << "legacy non-atomic cross-shard writes survived every power cut — "
+      << "split (non-atomic) cross-shard writes survived every power cut — "
          "the sharded checker has no teeth";
+  fprintf(stderr, "[sharded crash harness] caught at cycle %d: %s\n",
+          result.failed_cycle, result.failure.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 // The invariants, checked against the recovered state after every reopen:
 //   * NO batch may ever be partially present — a cross-shard batch whose
 //     keys straddle shard WALs must recover either whole or not at all
-//     (this is the property 2PC exists to provide; the legacy independent
+//     (this is the property 2PC exists to provide; independent per-shard
 //     commits fail it at the first cut between two shards' appends);
 //   * an ACKNOWLEDGED cross-shard batch must be fully present: phase-1
 //     prepares are always fsynced, so the ack implies durability even for
@@ -56,10 +56,13 @@ struct ShardedCrashHarnessOptions {
   /// Start from a fresh DB every this many cycles so the model (and the
   /// per-reopen check cost) stays bounded.
   int fresh_db_period = 20;
-  /// Exercise the legacy non-atomic path instead (expected to FAIL the
-  /// all-or-nothing check under cross-shard cuts — used by the meta-test
-  /// that proves the checker has teeth).
-  bool atomic_cross_shard_batches = true;
+  /// Issue each cross-shard batch as one single-shard Write per
+  /// participant, in sequence, while still recording it as one atomic
+  /// batch. This emulates non-atomic cross-shard commits on the client
+  /// side, so the all-or-nothing check is expected to FAIL under
+  /// cross-shard cuts — used by the meta-test that proves the checker has
+  /// teeth.
+  bool split_cross_shard_batches = false;
   /// SSD compaction shape for every shard (Options::compaction_policy).
   std::string compaction_policy = "leveled";
   bool verbose = false;
@@ -160,7 +163,6 @@ class ShardedCrashHarness {
     options.env = &crash_env_;
     options.raw_env = &crash_env_;
     options.num_shards = opts_.num_shards;
-    options.atomic_cross_shard_batches = opts_.atomic_cross_shard_batches;
     options.memtable_bytes = 16 << 10;  // rotate + flush often (per shard)
     options.pm_pool_capacity = 16 << 20;  // per shard
     options.pm_latency.inject_latency = false;
@@ -304,20 +306,30 @@ class ShardedCrashHarness {
         shards.push_back(rnd_.Uniform(opts_.num_shards));
       }
       WriteBatch wb;
+      std::vector<WriteBatch> per_shard(shards.size());
       const std::string token = "v" + std::to_string(next_key_id_);
-      for (uint32_t shard : shards) {
+      for (size_t i = 0; i < shards.size(); ++i) {
         // 1-2 keys per participating shard.
         const int keys = 1 + static_cast<int>(rnd_.Uniform(2));
         for (int k = 0; k < keys; ++k) {
-          std::string key = FreshKeyFor(shard);
+          std::string key = FreshKeyFor(shards[i]);
           wb.Put(key, token);
+          per_shard[i].Put(key, token);
           record.kvs.emplace_back(std::move(key), token);
         }
       }
       record.synced = rnd_.Uniform(4) == 0;
       WriteOptions wopts;
       wopts.sync = record.synced;
-      Status op_status = db->Write(wopts, &wb);
+      Status op_status;
+      if (opts_.split_cross_shard_batches && record.multi_shard) {
+        for (WriteBatch& sub : per_shard) {
+          op_status = db->Write(wopts, &sub);
+          if (!op_status.ok()) break;
+        }
+      } else {
+        op_status = db->Write(wopts, &wb);
+      }
       record.acked = op_status.ok();
       batches_.push_back(std::move(record));
       ++result->batches_issued;

@@ -308,6 +308,22 @@ TEST_F(ShardedDBTest, PropertiesAggregateAndBreakOutPerShard) {
   EXPECT_NE(json.find("pmblade.flush.count"), std::string::npos);
 }
 
+TEST_F(ShardedDBTest, ShardPropertyIndexOverflowIsRejected) {
+  Open();
+  // 2^64 wraps to 0 in a 64-bit accumulator; the name must still be
+  // rejected, not answered with shard 0's value.
+  const std::string wrapped = "pmblade.shard.18446744073709551616.";
+  uint64_t num = 0;
+  std::string str;
+  ASSERT_TRUE(db_->GetProperty("pmblade.shard.0.l0-bytes", &num));
+  ASSERT_TRUE(db_->GetProperty("pmblade.shard.0.stats", &str));
+  EXPECT_FALSE(db_->GetProperty(wrapped + "l0-bytes", &num));
+  EXPECT_FALSE(db_->GetProperty(wrapped + "stats", &str));
+  // Over-long but in-range spellings are rejected too (10+ digits).
+  EXPECT_FALSE(db_->GetProperty("pmblade.shard.0000000000.l0-bytes", &num));
+  EXPECT_FALSE(db_->GetProperty("pmblade.shard.0000000001.stats", &str));
+}
+
 // ---------------------------------------------------------------------------
 // Per-shard admission: a stalled shard must not shed idle-shard traffic.
 // ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@
 //   * recovery resolution: all prepares durable and no commit marker =>
 //     COMMIT; a missing participant prepare => ROLL BACK — reopen is
 //     all-or-nothing either way,
-//   * the legacy escape hatch (atomic_cross_shard_batches = false) writes
-//     no txn records,
 //   * the pmblade.txn.* metrics move.
 
 #include <gtest/gtest.h>
@@ -252,21 +250,6 @@ TEST_F(Txn2pcTest, CrossShardBatchWritesPrepareAndCommitEverywhere) {
     ASSERT_TRUE(
         db_->Get(ReadOptions(), KeyForShard(shard, 7), &value).ok());
     EXPECT_EQ(value, "x" + std::to_string(shard));
-  }
-}
-
-TEST_F(Txn2pcTest, LegacyModeWritesNoTxnRecords) {
-  options_.atomic_cross_shard_batches = false;
-  Open();
-  WriteBatch batch;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    batch.Put(KeyForShard(shard, 9), "y");
-  }
-  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
-  db_.reset();
-
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(CountShardWalRecords(shard).total(), 0) << "shard " << shard;
   }
 }
 

@@ -30,10 +30,6 @@
 //   write_scaling concurrent-writer sweep (1..--writers threads of random
 //                puts, sync per --sync_writes); reopens the engine fresh per
 //                point and emits BENCH_write_scaling.json
-//   compaction_stall A/B of inline vs backgrounded major compaction: one
-//                fresh engine per mode, tiny memtable + tight L0 budget to
-//                force continuous flush->compaction cycles, reports write
-//                p99/max and stall counters; emits BENCH_compaction_stall.json
 //   compaction_parallel sweep of the parallel compaction pipeline: fresh
 //                engine per point with compaction_workers =
 //                max_subcompactions = 1, 2, 4 (.. --compaction_workers),
@@ -226,130 +222,15 @@ void RunWriteScaling(Context* ctx) {
   }
 }
 
-// A/B measurement of what backgrounding major compaction buys the write
-// path. Two points, each on a fresh engine: background_compaction=false
-// (the historical behaviour — the flush thread blocks until Algorithm-1
-// drains, so a full memtable stalls every writer for the compaction's
-// duration) and background_compaction=true (flush hands the check to the
-// scheduler and returns). Memtable and level-0 budget are shrunk for the
-// run so the write stream forces continuous flush->compaction cycles;
-// the original options are restored (and the engine reopened with them)
-// afterwards. Emits BENCH_compaction_stall.json.
-void RunCompactionStall(Context* ctx) {
-  const BenchEnvOptions saved = *ctx->env->mutable_options();
-  BenchEnvOptions* opts = ctx->env->mutable_options();
-  // Rotate the memtable every ~32 puts regardless of --value_size so the
-  // flush/compaction pipeline is saturated and the inline mode's stall is
-  // visible even on short runs.
-  const size_t pressure = 32 * (ctx->value_size + 32);
-  if (opts->memtable_bytes > pressure) opts->memtable_bytes = pressure;
-  opts->l0_budget_large = opts->memtable_bytes * 8;
-
-  struct Mode {
-    const char* name;
-    bool background;
-  };
-  const Mode modes[] = {{"inline", false}, {"background", true}};
-
-  TablePrinter table({"compaction", "ops/sec", "p99(us)", "max(us)",
-                      "stalls", "stall_ms", "compactions"});
-  std::string json = "[\n";
-
-  for (size_t mi = 0; mi < 2 && !InterruptRequested(); ++mi) {
-    opts->background_compaction = modes[mi].background;
-    KvEngine* engine = nullptr;
-    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-    if (!s.ok()) {
-      fprintf(stderr, "compaction_stall reopen: %s\n", s.ToString().c_str());
-      exit(1);
-    }
-    ctx->engine = engine;
-    DB* db = ctx->env->pmblade_db();
-    if (db == nullptr) {
-      fprintf(stderr,
-              "compaction_stall needs a pmblade engine "
-              "(--engine=pmblade|pmblade-pm|pmblade-ssd)\n");
-      exit(1);
-    }
-
-    KeySpec spec;
-    spec.num_keys = ctx->num;
-    KeyGenerator keys(spec);
-    ValueGenerator values(ctx->value_size);
-    Random rng(301);
-
-    Histogram latency;
-    const uint64_t start = ctx->clock->NowNanos();
-    for (uint64_t i = 0; i < ctx->num && !InterruptRequested(); ++i) {
-      uint64_t k = rng.Uniform(ctx->num);
-      uint64_t t0 = ctx->clock->NowNanos();
-      RUN_OP(db->Put(WriteOptions(), keys.KeyAt(k), values.For(k)));
-      latency.Add(ctx->clock->NowNanos() - t0);
-    }
-    const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-    const double ops_per_sec = nanos > 0 ? ctx->num * 1e9 / nanos : 0;
-    const double p99_us = latency.Percentile(99) / 1000.0;
-    const double max_us = latency.max() / 1000.0;
-    uint64_t stalls = 0, stall_nanos = 0, compactions = 0;
-    db->GetProperty("pmblade.write-stalls", &stalls);
-    db->GetProperty("pmblade.write-stall-nanos", &stall_nanos);
-    db->GetProperty("pmblade.compactions-completed", &compactions);
-
-    Report(modes[mi].name, ctx->num, nanos, latency);
-    table.AddRow({modes[mi].name, TablePrinter::Fmt(ops_per_sec, 0),
-                  TablePrinter::Fmt(p99_us, 1), TablePrinter::Fmt(max_us, 1),
-                  std::to_string(stalls),
-                  TablePrinter::Fmt(stall_nanos / 1e6, 1),
-                  std::to_string(compactions)});
-
-    char point[256];
-    snprintf(point, sizeof(point),
-             "  {\"mode\": \"%s\", \"ops\": %llu, \"ops_per_sec\": %.0f, "
-             "\"p99_us\": %.2f, \"max_us\": %.2f, \"write_stalls\": %llu, "
-             "\"stall_ms\": %.2f, \"compactions\": %llu}%s\n",
-             modes[mi].name, static_cast<unsigned long long>(ctx->num),
-             ops_per_sec, p99_us, max_us,
-             static_cast<unsigned long long>(stalls), stall_nanos / 1e6,
-             static_cast<unsigned long long>(compactions),
-             mi + 1 < 2 ? "," : "");
-    json += point;
-  }
-  if (json.size() >= 2 && json[json.size() - 2] == ',') {
-    json.erase(json.size() - 2, 1);
-  }
-  json += "]\n";
-
-  table.Print("compaction_stall (memtable=" +
-              std::to_string(opts->memtable_bytes) + "B)");
-  FILE* out = fopen("BENCH_compaction_stall.json", "w");
-  if (out != nullptr) {
-    fputs(json.c_str(), out);
-    fclose(out);
-    printf("wrote BENCH_compaction_stall.json\n");
-  }
-
-  // Put the engine back the way the rest of the benchmark list expects it.
-  *ctx->env->mutable_options() = saved;
-  KvEngine* engine = nullptr;
-  Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-  if (!s.ok()) {
-    fprintf(stderr, "compaction_stall restore: %s\n", s.ToString().c_str());
-    exit(1);
-  }
-  ctx->engine = engine;
-}
-
 // Parallel-compaction sweep: the same randomized write stream is pushed
 // through fresh engines with compaction_workers = max_subcompactions = 1,
 // 2, 4, ... — the compactor's merge pool is widened to match (see
 // BenchEnv::OpenEngine), so the sweep scales the whole pipeline width:
 // scheduler workers, key-range slices per victim, and merge threads. The
-// memtable is shrunk (compaction_stall's pressure trick) so level-0 piles
-// up multi-table runs, and the level-0 budget is raised out of reach so no
-// BACKGROUND major fires: every point reaches the timed section with the
-// identical level-0 state, and the measured quantity is the wall time of
-// two forced major compactions (sorted-run-only first, then sorted+level-1
+// memtable is shrunk so level-0 piles up multi-table runs, and the level-0
+// budget is raised out of reach so no BACKGROUND major fires: every point
+// reaches the timed section with the identical level-0 state, and the
+// measured quantity is the wall time of two forced major compactions (sorted-run-only first, then sorted+level-1
 // after a second fill — the stitched level-1 from round one feeds round
 // two's split rule). The fill phase (4 producer threads) is reported too,
 // for the tail-latency impact of the widened pipeline on the write path.
@@ -1111,21 +992,10 @@ void RunShardScaling(Context* ctx) {
   table.Print("shard_scaling (mixed 50/50, zipf=" +
               TablePrinter::Fmt(ctx->zipf, 2) + ")");
 
-  // MSET fan-out A/B at the acceptance configuration (4 shards, or the
-  // sweep maximum when smaller): per-batch latency of an all-shard durable
-  // MSET under three dispatch modes.
-  //   serial-pre2pc    the pre-parallel-dispatch behaviour, emulated by
-  //                    splitting the batch per shard and writing the
-  //                    sub-batches sequentially (each is single-participant,
-  //                    so no 2PC records — exactly the old serial wave)
-  //   legacy-parallel  one cross-shard Write with
-  //                    atomic_cross_shard_batches=false: parallel per-shard
-  //                    dispatch, no atomicity
-  //   2pc-atomic       the default: parallel prepare+fsync wave, then the
-  //                    commit wave
-  // All three run sync=true so durability is equal — 2PC fsyncs its
-  // prepares unconditionally, and comparing that against unsynced serial
-  // writes would be apples to oranges.
+  // MSET fan-out at the acceptance configuration (4 shards, or the sweep
+  // maximum when smaller): per-batch latency of an all-shard durable MSET
+  // through the two-phase commit (parallel prepare+fsync wave, then the
+  // commit wave). sync=true, although 2PC fsyncs its prepares anyway.
   const uint32_t fan_shards = max_shards < 4 ? max_shards : 4;
   const int fan_threads = 4;
   const uint64_t fan_per_thread = 500;
@@ -1138,114 +1008,89 @@ void RunShardScaling(Context* ctx) {
     }
   };
 
-  struct FanPoint {
-    const char* name;
-    bool atomic_engine;
-    bool serial_client;
-    double p50_us = 0, p95_us = 0, msets_per_sec = 0;
-    double fsyncs_per_mset = 0;
-  };
-  std::vector<FanPoint> fan_points = {{"serial-pre2pc", true, true},
-                                      {"legacy-parallel", false, false},
-                                      {"2pc-atomic", true, false}};
+  double fan_p50_us = -1, fan_p95_us = 0, fan_msets_per_sec = 0;
+  double fan_fsyncs_per_mset = 0;
+  opts->num_shards = fan_shards;
+  // Best-of-3 by p50, fresh engine per rep — the same neighbour-noise
+  // convention as the shard sweep above (this host's single runs swing
+  // ~2x under load).
+  for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
+    KvEngine* engine = nullptr;
+    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
+    if (!s.ok()) {
+      fprintf(stderr, "shard_scaling mset reopen: %s\n",
+              s.ToString().c_str());
+      exit(1);
+    }
+    ctx->engine = engine;
+    DB* db = ctx->env->pmblade_db();
 
+    Histogram latency;
+    std::mutex merge_mu;
+    uint64_t syncs_before = 0;
+    db->GetProperty("pmblade.wal-syncs", &syncs_before);
+    const uint64_t start = ctx->clock->NowNanos();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < fan_threads; ++t) {
+      workers.emplace_back([&, t] {
+        ValueGenerator values(ctx->value_size, 7 + t);
+        Histogram local;
+        WriteOptions wo;
+        wo.sync = true;
+        for (uint64_t i = 0; i < fan_per_thread && !InterruptRequested();
+             ++i) {
+          const uint64_t tag = (static_cast<uint64_t>(t) << 32) | i;
+          // Build the batch outside the timed section.
+          WriteBatch batch;
+          for (uint32_t shard = 0; shard < fan_shards; ++shard) {
+            batch.Put(key_for_shard(shard, tag), values.For(tag ^ shard));
+          }
+          uint64_t t0 = ctx->clock->NowNanos();
+          RUN_OP(db->Write(wo, &batch));
+          local.Add(ctx->clock->NowNanos() - t0);
+        }
+        std::lock_guard<std::mutex> lock(merge_mu);
+        latency.Merge(local);
+      });
+    }
+    for (auto& w : workers) w.join();
+    const uint64_t nanos = ctx->clock->NowNanos() - start;
+
+    const double p50_us = latency.Percentile(50) / 1000.0;
+    if (fan_p50_us < 0 || p50_us < fan_p50_us) {
+      fan_p50_us = p50_us;
+      fan_p95_us = latency.Percentile(95) / 1000.0;
+      const uint64_t msets = fan_per_thread * fan_threads;
+      fan_msets_per_sec = nanos > 0 ? msets * 1e9 / nanos : 0;
+      uint64_t syncs_after = 0;
+      db->GetProperty("pmblade.wal-syncs", &syncs_after);
+      fan_fsyncs_per_mset =
+          msets > 0 ? double(syncs_after - syncs_before) / msets : 0;
+    }
+  }
   TablePrinter fan_table(
       {"mode", "p50(us)", "p95(us)", "msets/sec", "fsyncs/mset"});
-  for (auto& fp : fan_points) {
-    if (InterruptRequested()) break;
-    opts->num_shards = fan_shards;
-    opts->atomic_cross_shard_batches = fp.atomic_engine;
-
-    // Best-of-3 by p50, fresh engine per rep — the same neighbour-noise
-    // convention as the shard sweep above (this host's single runs swing
-    // ~2x under load).
-    fp.p50_us = -1;
-    for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
-      KvEngine* engine = nullptr;
-      Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-      if (!s.ok()) {
-        fprintf(stderr, "shard_scaling mset reopen: %s\n",
-                s.ToString().c_str());
-        exit(1);
-      }
-      ctx->engine = engine;
-      DB* db = ctx->env->pmblade_db();
-
-      Histogram latency;
-      std::mutex merge_mu;
-      uint64_t syncs_before = 0;
-      db->GetProperty("pmblade.wal-syncs", &syncs_before);
-      const uint64_t start = ctx->clock->NowNanos();
-      std::vector<std::thread> workers;
-      for (int t = 0; t < fan_threads; ++t) {
-        workers.emplace_back([&, t] {
-          ValueGenerator values(ctx->value_size, 7 + t);
-          Histogram local;
-          WriteOptions wo;
-          wo.sync = true;
-          for (uint64_t i = 0;
-               i < fan_per_thread && !InterruptRequested(); ++i) {
-            const uint64_t tag = (static_cast<uint64_t>(t) << 32) | i;
-            // Build the batch(es) outside the timed section: only the
-            // dispatch strategy under test should differ between modes.
-            std::vector<WriteBatch> subs(fp.serial_client ? fan_shards : 1);
-            for (uint32_t shard = 0; shard < fan_shards; ++shard) {
-              subs[fp.serial_client ? shard : 0].Put(
-                  key_for_shard(shard, tag), values.For(tag ^ shard));
-            }
-            uint64_t t0 = ctx->clock->NowNanos();
-            for (auto& sub : subs) {
-              RUN_OP(db->Write(wo, &sub));
-            }
-            local.Add(ctx->clock->NowNanos() - t0);
-          }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          latency.Merge(local);
-        });
-      }
-      for (auto& w : workers) w.join();
-      const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-      const double p50_us = latency.Percentile(50) / 1000.0;
-      if (fp.p50_us < 0 || p50_us < fp.p50_us) {
-        fp.p50_us = p50_us;
-        fp.p95_us = latency.Percentile(95) / 1000.0;
-        const uint64_t msets = fan_per_thread * fan_threads;
-        fp.msets_per_sec = nanos > 0 ? msets * 1e9 / nanos : 0;
-        uint64_t syncs_after = 0;
-        db->GetProperty("pmblade.wal-syncs", &syncs_after);
-        fp.fsyncs_per_mset =
-            msets > 0 ? double(syncs_after - syncs_before) / msets : 0;
-      }
-    }
-    fan_table.AddRow({fp.name, TablePrinter::Fmt(fp.p50_us, 1),
-                      TablePrinter::Fmt(fp.p95_us, 1),
-                      TablePrinter::Fmt(fp.msets_per_sec, 0),
-                      TablePrinter::Fmt(fp.fsyncs_per_mset, 2)});
-  }
+  fan_table.AddRow({"2pc-atomic", TablePrinter::Fmt(fan_p50_us, 1),
+                    TablePrinter::Fmt(fan_p95_us, 1),
+                    TablePrinter::Fmt(fan_msets_per_sec, 0),
+                    TablePrinter::Fmt(fan_fsyncs_per_mset, 2)});
   fan_table.Print("mset_fanout (" + std::to_string(fan_shards) +
                   "-shard durable MSET, " + std::to_string(fan_threads) +
                   " threads)");
 
-  std::string fan_json = "[\n";
-  for (size_t i = 0; i < fan_points.size(); ++i) {
-    const FanPoint& fp = fan_points[i];
-    char point[256];
-    snprintf(point, sizeof(point),
-             "  {\"mode\": \"%s\", \"shards\": %u, \"threads\": %d, "
-             "\"sync\": true, \"p50_us\": %.2f, \"p95_us\": %.2f, "
-             "\"msets_per_sec\": %.0f, \"fsyncs_per_mset\": %.2f}%s\n",
-             fp.name, fan_shards, fan_threads, fp.p50_us, fp.p95_us,
-             fp.msets_per_sec, fp.fsyncs_per_mset,
-             i + 1 < fan_points.size() ? "," : "");
-    fan_json += point;
-  }
-  fan_json += "]";
+  char fan_json[256];
+  snprintf(fan_json, sizeof(fan_json),
+           "[\n  {\"mode\": \"2pc-atomic\", \"shards\": %u, "
+           "\"threads\": %d, \"sync\": true, \"p50_us\": %.2f, "
+           "\"p95_us\": %.2f, \"msets_per_sec\": %.0f, "
+           "\"fsyncs_per_mset\": %.2f}\n]",
+           fan_shards, fan_threads, fan_p50_us, fan_p95_us,
+           fan_msets_per_sec, fan_fsyncs_per_mset);
 
   FILE* out = fopen("BENCH_shard_scaling.json", "w");
   if (out != nullptr) {
     fprintf(out, "{\n\"scaling\": %s,\n\"mset_fanout\": %s\n}\n",
-            json.c_str(), fan_json.c_str());
+            json.c_str(), fan_json);
     fclose(out);
     printf("wrote BENCH_shard_scaling.json\n");
   }
@@ -1380,9 +1225,6 @@ void RunBenchmark(Context* ctx, const std::string& name) {
     }
   } else if (name == "write_scaling") {
     RunWriteScaling(ctx);
-    return;
-  } else if (name == "compaction_stall") {
-    RunCompactionStall(ctx);
     return;
   } else if (name == "compaction_parallel") {
     RunCompactionParallel(ctx);
