@@ -62,30 +62,26 @@ class DB : public KvEngine {
   // ---- introspection ----
   virtual const DbStatistics& statistics() const = 0;
   virtual DbStatistics& statistics() = 0;
-  /// Numeric properties, by family (all names start with "pmblade."):
-  ///   write pipeline — write-pressure, wal-syncs, write-groups,
-  ///       write-group-writes, write-slowdowns, write-stalls,
-  ///       write-stall-nanos, bg-flushes, memtable-limit, open-snapshots;
-  ///   txn (cross-shard 2PC) — txn-prepared, txn-committed,
-  ///       txn-rolled-back, txn-pending, txn-retained; on a sharded engine
-  ///       also txn-in-doubt, txn-resolved-commit, txn-resolved-rollback;
-  ///   compaction — compactions-completed, compactions-failed,
-  ///       compaction-retries, compaction-queue-depth, compaction-workers,
-  ///       compaction-active, compaction-subcompactions,
-  ///       compaction-major-wall-nanos, file-gc-failures;
-  ///   bloom / cache / memory — bloom-checks, bloom-negatives,
-  ///       bloom-false-positives, blockcache-charge, blockcache-capacity,
-  ///       mem-rebalances, pm-used-bytes, pm-bytes-written;
-  ///   LSM shape — num-partitions, num-unsorted-tables, num-sorted-tables,
-  ///       l0-bytes, ssd-bytes (l1-bytes is an alias: the bytes of the
-  ///       whole SSD run stack, not only level 1), num-ssd-runs,
-  ///       max-ssd-level, ssd-bytes-written, ssd-user-bytes-written, and
-  ///       per SSD level lsm.level<i>.{runs,files,bytes};
-  ///   sharding — num-shards, and on a sharded engine the per-shard
-  ///       drill-down shard.<i>.<name> for any per-engine name above.
-  /// On a sharded engine the other names sum across shards, except the
-  /// shared block cache, memory arbiter and open-snapshots (one value)
-  /// and max-ssd-level (the maximum). Unknown names return false.
+  /// Numeric properties, all read from metrics_registry() so a property
+  /// and its exported metric are computed by the same code:
+  ///   * Each dashed name ("pmblade.wal-syncs", "pmblade.l0-bytes", ...)
+  ///     is an alias of one registry counter or gauge ("pmblade.wal.syncs",
+  ///     "pmblade.lsm.l0_bytes"); the table is in core/statistics.cc
+  ///     (ReadNumericProperty). An alias whose metric this configuration
+  ///     does not register (no block cache, no memory arbiter, the 2PC
+  ///     resolution counters of a single shard) reads 0.
+  ///   * Any other name is read as a registry counter or gauge name, e.g.
+  ///     "pmblade.lsm.level<i>.{runs,files,bytes}" for the levels up to
+  ///     Options::max_ssd_levels. Histograms and unknown names return false.
+  ///   * On a sharded engine, "pmblade.shard.<i>.<name>" reads shard i's
+  ///     own value. Otherwise a metric the facade registers itself wins:
+  ///     the shared block cache, the memory arbiter and a caller-shared
+  ///     SSD model (one value each),
+  ///     the policy ordinal, writes-per-sync (recomputed from the summed
+  ///     counters), max-ssd-level and write-pressure (the maximum),
+  ///     open-snapshots (facade handles) and the 2PC resolution counters.
+  ///     Every other metric is the sum over the shards. The metrics
+  ///     snapshot behind the exporters applies the same rule.
   virtual bool GetProperty(const std::string& property, uint64_t* value) = 0;
   /// Instantaneous write-path backpressure state (see WritePressure).
   /// Cheap — one short mutex hold — so admission controllers may poll it

@@ -319,66 +319,93 @@ Status DBImpl::Init() {
     int q_cli = model_->Inflight(IoClass::kClient);
     return static_cast<double>(std::max(q - q_comp - q_cli, 0));
   });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.l0_bytes", [this] {
+  // LSM shape, each summed over the partitions under mu_.
+  auto partition_sum = [this](uint64_t (*per_partition)(const Partition&)) {
+    return [this, per_partition] {
+      std::lock_guard<std::mutex> lock(mu_);
+      uint64_t total = 0;
+      for (const auto& p : partitions_) total += per_partition(*p);
+      return static_cast<double>(total);
+    };
+  };
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.l0_bytes",
+      partition_sum([](const Partition& p) { return p.L0Bytes(); }));
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.l1_bytes",
+      partition_sum([](const Partition& p) { return p.SsdBytes(); }));
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.num_partitions",
+      partition_sum([](const Partition&) -> uint64_t { return 1; }));
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.unsorted_tables",
+      partition_sum([](const Partition& p) -> uint64_t {
+        return p.unsorted().size();
+      }));
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.sorted_tables",
+      partition_sum([](const Partition& p) -> uint64_t {
+        return p.sorted_run().size();
+      }));
+  metrics_.RegisterGaugeCallback(
+      "pmblade.lsm.ssd_runs",
+      partition_sum([](const Partition& p) -> uint64_t {
+        return p.ssd_runs().size();
+      }));
+  metrics_.RegisterGaugeCallback("pmblade.lsm.max_ssd_level", [this] {
     std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->L0Bytes();
-    return static_cast<double>(total);
+    uint32_t deepest = 0;
+    for (const auto& p : partitions_) {
+      deepest = std::max(deepest, p->MaxSsdLevel());
+    }
+    return static_cast<double>(deepest);
   });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.l1_bytes", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->SsdBytes();
-    return static_cast<double>(total);
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.num_partitions", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<double>(partitions_.size());
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.unsorted_tables", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->unsorted().size();
-    return static_cast<double>(total);
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.sorted_tables", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->sorted_run().size();
-    return static_cast<double>(total);
-  });
-  // LSM shape under the active policy: the policy ordinal plus per-level
-  // run/file/byte gauges (level 0 = PM level-0; SSD runs start at 1).
+  // The policy ordinal plus per-level run/file/byte gauges (level 0 = PM
+  // level-0; SSD runs start at 1).
   metrics_.RegisterGaugeCallback("pmblade.policy", [this] {
     return static_cast<double>(static_cast<int>(picker_->kind()));
   });
   for (uint32_t level = 0; level <= options_.max_ssd_levels; ++level) {
-    char gauge_name[64];
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.runs",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(runs);
-    });
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.files",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(files);
-    });
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.bytes",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(bytes);
-    });
+    auto shape = [this, level](int field) {
+      return [this, level, field] {
+        std::lock_guard<std::mutex> lock(mu_);
+        uint64_t stat[3];
+        LevelShapeLocked(level, &stat[0], &stat[1], &stat[2]);
+        return static_cast<double>(stat[field]);
+      };
+    };
+    const std::string prefix =
+        "pmblade.lsm.level" + std::to_string(level) + ".";
+    metrics_.RegisterGaugeCallback(prefix + "runs", shape(0));
+    metrics_.RegisterGaugeCallback(prefix + "files", shape(1));
+    metrics_.RegisterGaugeCallback(prefix + "bytes", shape(2));
   }
+  // Write-path and snapshot state behind the numeric properties.
+  metrics_.RegisterGaugeCallback("pmblade.write.pressure", [this] {
+    return static_cast<double>(static_cast<int>(GetWritePressure()));
+  });
+  metrics_.RegisterGaugeCallback("pmblade.write.memtable_limit", [this] {
+    return static_cast<double>(
+        memtable_limit_.load(std::memory_order_relaxed));
+  });
+  metrics_.RegisterGaugeCallback("pmblade.snapshots.open", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<double>(live_snapshots_.size());
+  });
+  metrics_.RegisterGaugeCallback("pmblade.txn.pending", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t pending = 0;
+    for (const auto& entry : txns_) {
+      if (!entry.second.committed) ++pending;
+    }
+    return static_cast<double>(pending);
+  });
+  metrics_.RegisterGaugeCallback("pmblade.txn.retained", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<double>(txns_.size() + replay_committed_.size() +
+                               replay_rolled_back_.size());
+  });
+  metrics_.RegisterGaugeCallback("pmblade.shards", [] { return 1.0; });
   // Route major-compaction instrumentation through our bus/registry.
   options_.major.event_bus = &events_;
   options_.major.metrics = &metrics_;
@@ -388,21 +415,7 @@ Status DBImpl::Init() {
   bloom_check_counter_ = metrics_.GetCounter("pmblade.bloom.checks");
   bloom_negative_counter_ = metrics_.GetCounter("pmblade.bloom.negatives");
   bloom_fp_counter_ = metrics_.GetCounter("pmblade.bloom.false_positives");
-  if (block_cache_ != nullptr) {
-    BlockCache* cache = block_cache_;
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.hits", [cache] {
-      return static_cast<double>(cache->hits());
-    });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.misses", [cache] {
-      return static_cast<double>(cache->misses());
-    });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.charge", [cache] {
-      return static_cast<double>(cache->TotalCharge());
-    });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.capacity", [cache] {
-      return static_cast<double>(cache->capacity());
-    });
-  }
+  if (block_cache_ != nullptr) block_cache_->RegisterMetrics(&metrics_);
 
   // Memory arbitration: one budget over {memtable quota, block cache,
   // Eq. 3 keep-set}, retuned by the MemoryArbiter's feedback thread. The
@@ -2514,234 +2527,12 @@ void DBImpl::SetDynamicTauT(uint64_t bytes) {
 }
 
 bool DBImpl::GetProperty(const std::string& property, uint64_t* value) {
-  if (property == "pmblade.write-pressure") {
-    *value = static_cast<uint64_t>(GetWritePressure());
-    return true;
-  }
-  // Counter-backed properties first: they are atomic and need no lock.
-  if (property == "pmblade.wal-syncs") {
-    *value = wal_sync_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-groups") {
-    *value = group_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-group-writes") {
-    *value = group_write_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-slowdowns") {
-    *value = slowdown_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-stalls") {
-    *value = stall_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-stall-nanos") {
-    *value = stall_nanos_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bg-flushes") {
-    *value = bg_flush_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-prepared") {
-    *value = txn_prepared_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-committed") {
-    *value = txn_committed_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-rolled-back") {
-    *value = txn_rolled_back_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-pending") {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t pending = 0;
-    for (const auto& entry : txns_) {
-      if (!entry.second.committed) ++pending;
-    }
-    *value = pending;
-    return true;
-  }
-  if (property == "pmblade.txn-retained") {
-    std::lock_guard<std::mutex> lock(mu_);
-    *value = txns_.size() + replay_committed_.size() +
-             replay_rolled_back_.size();
-    return true;
-  }
-  if (property == "pmblade.open-snapshots") {
-    std::lock_guard<std::mutex> lock(mu_);
-    *value = live_snapshots_.size();
-    return true;
-  }
-  if (property == "pmblade.compactions-completed") {
-    *value = compaction_scheduler_->checks_completed();
-    return true;
-  }
-  if (property == "pmblade.compactions-failed") {
-    *value = compaction_scheduler_->checks_failed();
-    return true;
-  }
-  if (property == "pmblade.compaction-retries") {
-    *value = compaction_scheduler_->retries();
-    return true;
-  }
-  if (property == "pmblade.compaction-queue-depth") {
-    *value = compaction_scheduler_->QueueDepth();
-    return true;
-  }
-  if (property == "pmblade.compaction-workers") {
-    *value = static_cast<uint64_t>(compaction_scheduler_->workers());
-    return true;
-  }
-  if (property == "pmblade.compaction-active") {
-    *value = static_cast<uint64_t>(compaction_scheduler_->active());
-    return true;
-  }
-  if (property == "pmblade.compaction-subcompactions") {
-    *value = subcompaction_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.compaction-major-wall-nanos") {
-    *value = major_wall_nanos_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.file-gc-failures") {
-    *value = file_gc_fail_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-checks") {
-    *value = bloom_check_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-negatives") {
-    *value = bloom_negative_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-false-positives") {
-    *value = bloom_fp_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.blockcache-charge") {
-    *value = block_cache_ != nullptr ? block_cache_->TotalCharge() : 0;
-    return true;
-  }
-  if (property == "pmblade.blockcache-capacity") {
-    *value = block_cache_ != nullptr ? block_cache_->capacity() : 0;
-    return true;
-  }
-  if (property == "pmblade.mem-rebalances") {
-    *value = arbiter_ != nullptr ? arbiter_->rebalances() : 0;
-    return true;
-  }
-  if (property == "pmblade.memtable-limit") {
-    *value = memtable_limit_.load(std::memory_order_relaxed);
-    return true;
-  }
-  if (property == "pmblade.pm-bytes-written") {
-    *value = pool_ != nullptr ? pool_->stats().bytes_written() : 0;
-    return true;
-  }
-  if (property == "pmblade.num-shards") {
-    *value = 1;
-    return true;
-  }
-  // Monotonic write-amplification inputs: WA is computable from properties
-  // alone as ssd-bytes-written / ssd-user-bytes-written.
-  if (property == "pmblade.ssd-user-bytes-written") {
-    *value = stats_.user_bytes_written();
-    return true;
-  }
-  if (property == "pmblade.ssd-bytes-written") {
-    *value = stats_.major_compaction_bytes();
-    return true;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (property == "pmblade.l0-bytes") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->L0Bytes();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.l1-bytes" || property == "pmblade.ssd-bytes") {
-    // Historical name kept; covers the WHOLE SSD run stack (all levels) now
-    // that policies other than leveled may hold more than one run.
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->SsdBytes();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.num-ssd-runs") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->ssd_runs().size();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.max-ssd-level") {
-    uint64_t deepest = 0;
-    for (const auto& p : partitions_) {
-      deepest = std::max<uint64_t>(deepest, p->MaxSsdLevel());
-    }
-    *value = deepest;
-    return true;
-  }
-  constexpr char kLevelPrefix[] = "pmblade.lsm.level";
-  if (property.compare(0, sizeof(kLevelPrefix) - 1, kLevelPrefix) == 0) {
-    // pmblade.lsm.level<i>.{runs,files,bytes}
-    size_t pos = sizeof(kLevelPrefix) - 1;
-    uint64_t level = 0;
-    size_t digits = 0;
-    while (pos < property.size() && property[pos] >= '0' &&
-           property[pos] <= '9' && digits < 9) {
-      level = level * 10 + static_cast<uint64_t>(property[pos] - '0');
-      ++pos;
-      ++digits;
-    }
-    if (digits > 0 && pos < property.size() && property[pos] == '.') {
-      const std::string stat = property.substr(pos + 1);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(static_cast<uint32_t>(level), &runs, &files, &bytes);
-      if (stat == "runs") {
-        *value = runs;
-        return true;
-      }
-      if (stat == "files") {
-        *value = files;
-        return true;
-      }
-      if (stat == "bytes") {
-        *value = bytes;
-        return true;
-      }
-    }
-    return false;
-  }
-  if (property == "pmblade.num-partitions") {
-    *value = partitions_.size();
-    return true;
-  }
-  if (property == "pmblade.pm-used-bytes") {
-    *value = pool_->UsedBytes();
-    return true;
-  }
-  if (property == "pmblade.num-unsorted-tables") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->unsorted().size();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.num-sorted-tables") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->sorted_run().size();
-    *value = total;
-    return true;
-  }
-  return false;
+  return ReadNumericProperty(
+      property,
+      [this](const std::string& name, double* v) {
+        return metrics_.Read(name, v);
+      },
+      value);
 }
 
 void DBImpl::LevelShapeLocked(uint32_t level, uint64_t* runs, uint64_t* files,

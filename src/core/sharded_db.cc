@@ -42,8 +42,7 @@ bool ParseShardProperty(const std::string& property, uint32_t num_shards,
   static constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   if (property.rfind(kPrefix, 0) != 0) return false;
   const size_t dot = property.find('.', kPrefixLen);
-  // At most 9 digits (like the pmblade.lsm.level<i> parser), so the index
-  // cannot wrap around to a valid shard.
+  // At most 9 digits, so the index cannot wrap around to a valid shard.
   if (dot == std::string::npos || dot == kPrefixLen || dot - kPrefixLen > 9) {
     return false;
   }
@@ -148,7 +147,7 @@ Status ShardedDB::Init() {
     shards_.push_back(std::move(shard));
   }
 
-  RegisterAggregatedMetrics();
+  RegisterAggregatedMetrics(cache);
   if (options_.memory_budget_bytes > 0) {
     PMBLADE_RETURN_IF_ERROR(SetUpSharedArbiter());
   }
@@ -276,56 +275,106 @@ Status ShardedDB::SetUpSharedArbiter() {
   return Status::OK();
 }
 
-void ShardedDB::RegisterAggregatedMetrics() {
+// The facade's aggregation rule, shared by GetProperty and the snapshot
+// provider that feeds the exporters: a name the facade registers itself
+// wins, and any other name is the sum over the shards. The facade registers
+// exactly the names whose values do not add up across shards.
+void ShardedDB::RegisterAggregatedMetrics(BlockCache* cache) {
   metrics_.RegisterGaugeCallback("pmblade.shards", [this] {
     return static_cast<double>(shards_.size());
   });
+  // Every shard runs the same Options, so shard 0 speaks for all of them.
+  auto from_shard0 = [this](const char* name) {
+    return [this, name] {
+      double v = 0;
+      shards_[0]->metrics()->Read(name, &v);
+      return v;
+    };
+  };
+  metrics_.RegisterGaugeCallback("pmblade.policy",
+                                 from_shard0("pmblade.policy"));
+  // A process-wide resource is one value, not an N-fold sum.
+  if (cache != nullptr) cache->RegisterMetrics(&metrics_);
+  if (options_.ssd_model != nullptr) {
+    options_.ssd_model->RegisterMetrics(&metrics_);
+    metrics_.RegisterGaugeCallback("pmblade.io.q_flush",
+                                   from_shard0("pmblade.io.q_flush"));
+  }
+  // A ratio is recomputed from the summed counters.
+  metrics_.RegisterGaugeCallback("pmblade.write.writes_per_sync", [this] {
+    double writes = 0, syncs = 0;
+    SumOverShards("pmblade.write.group_writes", &writes);
+    SumOverShards("pmblade.wal.syncs", &syncs);
+    return syncs == 0 ? 0.0 : writes / syncs;
+  });
+  // Depth and backpressure are the deepest / most pressed shard's.
+  metrics_.RegisterGaugeCallback("pmblade.lsm.max_ssd_level", [this] {
+    double deepest = 0;
+    for (const auto& shard : shards_) {
+      double v = 0;
+      if (shard->metrics()->Read("pmblade.lsm.max_ssd_level", &v)) {
+        deepest = std::max(deepest, v);
+      }
+    }
+    return deepest;
+  });
+  metrics_.RegisterGaugeCallback("pmblade.write.pressure", [this] {
+    return static_cast<double>(static_cast<int>(GetWritePressure()));
+  });
+  // Each facade handle pins one snapshot per shard; count handles once.
+  metrics_.RegisterGaugeCallback("pmblade.snapshots.open", [this] {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return static_cast<double>(snapshots_.size());
+  });
   // Splice every shard's registry into facade snapshots: a
-  // pmblade.shard.<i>.* breakdown plus cross-shard aggregates under the
-  // original names (counters/histograms sum; gauges sum too — sizes and
-  // depths add up across shards). Metrics over a process-wide resource
-  // (the shared block cache; a caller-shared SSD model) are identical in
-  // every shard's registry, so the first shard's value stands instead of
-  // an N-fold sum.
-  const bool shared_ssd = options_.ssd_model != nullptr;
-  metrics_.RegisterSnapshotProvider(
-      [this, shared_ssd](std::vector<obs::MetricSample>* out) {
-        std::map<std::string, obs::MetricSample> agg;
-        for (size_t i = 0; i < shards_.size(); ++i) {
-          obs::MetricsSnapshot snap =
-              shards_[i]->metrics_registry()->Snapshot(0);
-          for (auto& sample : snap.samples) {
-            std::string suffix = sample.name;
-            static constexpr char kRoot[] = "pmblade.";
-            if (suffix.rfind(kRoot, 0) == 0) {
-              suffix = suffix.substr(sizeof(kRoot) - 1);
-            }
-            const bool shared_resource =
-                sample.name.rfind("pmblade.blockcache.", 0) == 0 ||
-                (shared_ssd && sample.name.rfind("pmblade.ssd.", 0) == 0);
-            obs::MetricSample per_shard = sample;
-            per_shard.name =
-                "pmblade.shard." + std::to_string(i) + "." + suffix;
-            out->push_back(std::move(per_shard));
-            auto it = agg.find(sample.name);
-            if (it == agg.end()) {
-              agg.emplace(sample.name, std::move(sample));
-            } else if (!shared_resource) {
-              if (it->second.kind == obs::MetricKind::kHistogram) {
-                it->second.hist.Merge(sample.hist);
-                it->second.value =
-                    static_cast<double>(it->second.hist.count());
-              } else {
-                it->second.value += sample.value;
-              }
-            }
-          }
+  // pmblade.shard.<i>.* breakdown plus the cross-shard sums under the
+  // original names.
+  metrics_.RegisterSnapshotProvider([this](
+                                        std::vector<obs::MetricSample>* out) {
+    // *out holds the facade's own samples so far; those names win.
+    std::set<std::string> own;
+    for (const auto& sample : *out) own.insert(sample.name);
+    std::map<std::string, obs::MetricSample> sums;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      const std::string prefix = "pmblade.shard." + std::to_string(i) + ".";
+      obs::MetricsSnapshot snap = shards_[i]->metrics()->Snapshot(0);
+      for (auto& sample : snap.samples) {
+        static constexpr char kRoot[] = "pmblade.";
+        obs::MetricSample per_shard = sample;
+        per_shard.name = prefix + (sample.name.rfind(kRoot, 0) == 0
+                                       ? sample.name.substr(sizeof(kRoot) - 1)
+                                       : sample.name);
+        out->push_back(std::move(per_shard));
+        if (own.count(sample.name) != 0) continue;
+        auto it = sums.find(sample.name);
+        if (it == sums.end()) {
+          sums.emplace(sample.name, std::move(sample));
+        } else if (it->second.kind == obs::MetricKind::kHistogram) {
+          it->second.hist.Merge(sample.hist);
+          it->second.value = static_cast<double>(it->second.hist.count());
+        } else {
+          it->second.value += sample.value;
         }
-        for (auto& [name, sample] : agg) {
-          (void)name;
-          out->push_back(std::move(sample));
-        }
-      });
+      }
+    }
+    for (auto& [name, sample] : sums) {
+      (void)name;
+      out->push_back(std::move(sample));
+    }
+  });
+}
+
+bool ShardedDB::SumOverShards(const std::string& name, double* total) const {
+  bool found = false;
+  *total = 0;
+  for (const auto& shard : shards_) {
+    double v = 0;
+    if (shard->metrics()->Read(name, &v)) {
+      *total += v;
+      found = true;
+    }
+  }
+  return found;
 }
 
 // ---------------------------------------------------------------------------
@@ -716,74 +765,21 @@ WritePressure ShardedDB::GetShardWritePressure(uint32_t shard) {
 }
 
 bool ShardedDB::GetProperty(const std::string& property, uint64_t* value) {
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  if (property == "pmblade.num-shards") {
-    *value = n;
-    return true;
-  }
-  if (property == "pmblade.write-pressure") {
-    *value = static_cast<uint64_t>(GetWritePressure());
-    return true;
-  }
   // Per-shard drill-down: "pmblade.shard.<i>.<prop>".
   uint32_t shard = 0;
   std::string rest;
-  if (ParseShardProperty(property, n, &shard, &rest)) {
+  if (ParseShardProperty(property, static_cast<uint32_t>(shards_.size()),
+                         &shard, &rest)) {
     return shards_[shard]->GetProperty(rest, value);
   }
-  // Process-wide resources: one value, not a per-shard sum.
-  if (property == "pmblade.blockcache-charge") {
-    *value = shared_cache_ != nullptr ? shared_cache_->TotalCharge() : 0;
-    return true;
-  }
-  if (property == "pmblade.blockcache-capacity") {
-    *value = shared_cache_ != nullptr ? shared_cache_->capacity() : 0;
-    return true;
-  }
-  if (property == "pmblade.mem-rebalances") {
-    *value = arbiter_ != nullptr ? arbiter_->rebalances() : 0;
-    return true;
-  }
-  // Facade-level (NOT a per-shard sum: each facade handle pins one
-  // snapshot per shard, so summing would overcount by N).
-  if (property == "pmblade.open-snapshots") {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    *value = snapshots_.size();
-    return true;
-  }
-  if (property == "pmblade.txn-in-doubt") {
-    *value = txn_in_doubt_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-resolved-commit") {
-    *value = txn_resolved_commit_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-resolved-rollback") {
-    *value = txn_resolved_rollback_counter_->Value();
-    return true;
-  }
-  // Depth is a maximum across shards, not a sum.
-  if (property == "pmblade.max-ssd-level") {
-    uint64_t deepest = 0;
-    for (auto& s : shards_) {
-      uint64_t v = 0;
-      if (!s->GetProperty(property, &v)) return false;
-      deepest = std::max(deepest, v);
-    }
-    *value = deepest;
-    return true;
-  }
-  // Everything else sums across shards (counters and sizes both add up;
-  // pmblade.memtable-limit becomes the combined write quota).
-  uint64_t total = 0;
-  for (auto& s : shards_) {
-    uint64_t v = 0;
-    if (!s->GetProperty(property, &v)) return false;
-    total += v;
-  }
-  *value = total;
-  return true;
+  // The facade rule (see RegisterAggregatedMetrics): its own metric wins,
+  // otherwise the sum over the shards.
+  return ReadNumericProperty(
+      property,
+      [this](const std::string& name, double* v) {
+        return metrics_.Read(name, v) || SumOverShards(name, v);
+      },
+      value);
 }
 
 bool ShardedDB::GetProperty(const std::string& property, std::string* value) {

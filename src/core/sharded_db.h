@@ -130,7 +130,11 @@ class ShardedDB final : public DB {
   /// Reads or creates the <dbname>/SHARDS marker; fails on a mismatch.
   Status CheckOrPinShardCount();
   Status SetUpSharedArbiter();
-  void RegisterAggregatedMetrics();
+  /// Registers the facade's own metrics and the snapshot provider that
+  /// splices in the shards' registries (see the rule in sharded_db.cc).
+  void RegisterAggregatedMetrics(BlockCache* cache);
+  /// Sum of metric `name` over the shards; false if no shard has it.
+  bool SumOverShards(const std::string& name, double* total) const;
 
   // ---- cross-shard writes ----
   /// Runs fn(shard) concurrently for every shard index in `ids` (the last
@@ -210,8 +214,9 @@ class ShardedDB final : public DB {
   mutable DbStatistics agg_stats_;
 
   /// Facade registry: the server's counters, the shared arbiter's
-  /// pmblade.mem.* metrics, plus a snapshot provider that splices in every
-  /// shard's registry (summed aggregates + pmblade.shard.<i>.* breakdown).
+  /// pmblade.mem.* metrics, the metrics that do not add up across shards,
+  /// plus a snapshot provider that splices in every shard's registry
+  /// (summed aggregates + pmblade.shard.<i>.* breakdown).
   obs::MetricsRegistry metrics_;
 };
 

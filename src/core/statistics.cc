@@ -1,6 +1,7 @@
 #include "core/statistics.h"
 
 #include <cstdio>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 
@@ -98,6 +99,79 @@ std::string DbStatistics::ToString() const {
            static_cast<unsigned long long>(internal_compactions()),
            static_cast<unsigned long long>(major_compactions()));
   return buf;
+}
+
+bool ReadNumericProperty(
+    const std::string& property,
+    const std::function<bool(const std::string&, double*)>& read,
+    uint64_t* value) {
+  // Dashed property name -> the registry metric it aliases.
+  static const std::unordered_map<std::string, std::string> kAliases = {
+      // write pipeline
+      {"pmblade.write-pressure", "pmblade.write.pressure"},
+      {"pmblade.wal-syncs", "pmblade.wal.syncs"},
+      {"pmblade.write-groups", "pmblade.write.groups"},
+      {"pmblade.write-group-writes", "pmblade.write.group_writes"},
+      {"pmblade.write-slowdowns", "pmblade.write.slowdowns"},
+      {"pmblade.write-stalls", "pmblade.write.stalls"},
+      {"pmblade.write-stall-nanos", "pmblade.write.stall_nanos"},
+      {"pmblade.bg-flushes", "pmblade.flush.bg_flushes"},
+      {"pmblade.memtable-limit", "pmblade.write.memtable_limit"},
+      {"pmblade.open-snapshots", "pmblade.snapshots.open"},
+      // cross-shard 2PC
+      {"pmblade.txn-prepared", "pmblade.txn.prepared"},
+      {"pmblade.txn-committed", "pmblade.txn.committed"},
+      {"pmblade.txn-rolled-back", "pmblade.txn.rolled_back"},
+      {"pmblade.txn-pending", "pmblade.txn.pending"},
+      {"pmblade.txn-retained", "pmblade.txn.retained"},
+      {"pmblade.txn-in-doubt", "pmblade.txn.in_doubt"},
+      {"pmblade.txn-resolved-commit", "pmblade.txn.resolved_commit"},
+      {"pmblade.txn-resolved-rollback", "pmblade.txn.resolved_rollback"},
+      // compaction
+      {"pmblade.compactions-completed", "pmblade.compaction.sched.completed"},
+      {"pmblade.compactions-failed", "pmblade.compaction.sched.failed"},
+      {"pmblade.compaction-retries", "pmblade.compaction.sched.retries"},
+      {"pmblade.compaction-queue-depth", "pmblade.compaction.queue_depth"},
+      {"pmblade.compaction-workers", "pmblade.compaction.workers"},
+      {"pmblade.compaction-active", "pmblade.compaction.active"},
+      {"pmblade.compaction-subcompactions",
+       "pmblade.compaction.subcompactions"},
+      {"pmblade.compaction-major-wall-nanos",
+       "pmblade.compaction.major.wall_nanos"},
+      {"pmblade.file-gc-failures", "pmblade.gc.remove_failures"},
+      // bloom / cache / memory
+      {"pmblade.bloom-checks", "pmblade.bloom.checks"},
+      {"pmblade.bloom-negatives", "pmblade.bloom.negatives"},
+      {"pmblade.bloom-false-positives", "pmblade.bloom.false_positives"},
+      {"pmblade.blockcache-charge", "pmblade.blockcache.charge"},
+      {"pmblade.blockcache-capacity", "pmblade.blockcache.capacity"},
+      {"pmblade.mem-rebalances", "pmblade.mem.rebalances"},
+      {"pmblade.pm-used-bytes", "pmblade.pm.used_bytes"},
+      {"pmblade.pm-bytes-written", "pmblade.pm.bytes_written"},
+      // LSM shape; ssd-bytes (historically l1-bytes) covers the whole SSD
+      // run stack, not only level 1
+      {"pmblade.num-partitions", "pmblade.lsm.num_partitions"},
+      {"pmblade.num-unsorted-tables", "pmblade.lsm.unsorted_tables"},
+      {"pmblade.num-sorted-tables", "pmblade.lsm.sorted_tables"},
+      {"pmblade.l0-bytes", "pmblade.lsm.l0_bytes"},
+      {"pmblade.l1-bytes", "pmblade.lsm.l1_bytes"},
+      {"pmblade.ssd-bytes", "pmblade.lsm.l1_bytes"},
+      {"pmblade.num-ssd-runs", "pmblade.lsm.ssd_runs"},
+      {"pmblade.max-ssd-level", "pmblade.lsm.max_ssd_level"},
+      // write amplification = ssd-bytes-written / ssd-user-bytes-written
+      {"pmblade.ssd-bytes-written", "pmblade.compaction.major.bytes"},
+      {"pmblade.ssd-user-bytes-written", "pmblade.write.user_bytes"},
+      // sharding
+      {"pmblade.num-shards", "pmblade.shards"},
+  };
+  auto alias = kAliases.find(property);
+  const bool in_table = alias != kAliases.end();
+  double v = 0;
+  if (!read(in_table ? alias->second : property, &v) && !in_table) {
+    return false;
+  }
+  *value = v > 0 ? static_cast<uint64_t>(v) : 0;
+  return true;
 }
 
 }  // namespace pmblade

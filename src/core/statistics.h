@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/histogram.h"
@@ -129,6 +130,20 @@ class DbStatistics {
   ShardedHistogram put_latency_;
   ShardedHistogram scan_latency_;
 };
+
+/// Serves DB::GetProperty(uint64_t*) from the metrics registry, so a
+/// numeric property and its exported metric are computed by the same code.
+/// Each dashed property name ("pmblade.wal-syncs") aliases one registry
+/// counter or gauge ("pmblade.wal.syncs"; the table is in statistics.cc);
+/// any other name is read as the registry name it is
+/// ("pmblade.lsm.level1.bytes"). `read` evaluates one metric and returns
+/// false when it is not registered. A name in the table whose metric this
+/// configuration does not register reads 0; any other unregistered name
+/// returns false.
+bool ReadNumericProperty(
+    const std::string& property,
+    const std::function<bool(const std::string&, double*)>& read,
+    uint64_t* value);
 
 }  // namespace pmblade
 

@@ -105,25 +105,48 @@ void MetricsRegistry::RegisterSnapshotProvider(
   providers_.push_back(std::move(fn));
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
-  // Phase 1 (registry lock): copy names, kinds, instrument pointers and
-  // callback copies. Phase 2 (no lock): evaluate. Callbacks may acquire
-  // arbitrary unrelated locks (the DB mutex, the SSD model mutex) whose
-  // holders in turn call GetCounter(); evaluating outside the registry lock
-  // keeps the lock graph acyclic. Instruments and entries are never removed,
-  // so the copied pointers stay valid for the registry's lifetime.
-  struct PendingSample {
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
-    const HistogramMetric* histogram = nullptr;
-    std::function<uint64_t()> counter_fn;
-    std::function<double()> gauge_fn;
-    std::function<Histogram()> histogram_fn;
-  };
+// Callbacks may acquire arbitrary unrelated locks (the DB mutex, the SSD
+// model mutex) whose holders in turn call GetCounter(), so Snapshot() and
+// Read() copy what they need under the registry lock and evaluate after
+// releasing it; that keeps the lock graph acyclic. Instruments and entries
+// are never removed, so the copied pointers stay valid for the registry's
+// lifetime.
+struct MetricsRegistry::Pending {
+  explicit Pending(const Entry& entry)
+      : kind(entry.kind),
+        counter(entry.counter.get()),
+        gauge(entry.gauge.get()),
+        histogram(entry.histogram.get()),
+        counter_fn(entry.counter_fn),
+        gauge_fn(entry.gauge_fn),
+        histogram_fn(entry.histogram_fn) {}
 
+  // Counters and gauges only.
+  double Value() const {
+    if (kind == MetricKind::kCounter) {
+      return counter_fn ? static_cast<double>(counter_fn())
+                        : static_cast<double>(counter->Value());
+    }
+    return gauge_fn ? gauge_fn() : static_cast<double>(gauge->Value());
+  }
+
+  Histogram Hist() const {
+    return histogram_fn ? histogram_fn() : histogram->Snapshot();
+  }
+
+  MetricKind kind;
+  const Counter* counter;
+  const Gauge* gauge;
+  const HistogramMetric* histogram;
+  std::function<uint64_t()> counter_fn;
+  std::function<double()> gauge_fn;
+  std::function<Histogram()> histogram_fn;
+};
+
+MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
   MetricsSnapshot snap;
   snap.taken_at_nanos = now_nanos;
-  std::vector<PendingSample> pending;
+  std::vector<Pending> pending;
   std::vector<std::function<void(std::vector<MetricSample>*)>> providers;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -135,36 +158,17 @@ MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
       sample.name = name;
       sample.kind = entry.kind;
       snap.samples.push_back(std::move(sample));
-
-      PendingSample p;
-      p.counter = entry.counter.get();
-      p.gauge = entry.gauge.get();
-      p.histogram = entry.histogram.get();
-      p.counter_fn = entry.counter_fn;
-      p.gauge_fn = entry.gauge_fn;
-      p.histogram_fn = entry.histogram_fn;
-      pending.push_back(std::move(p));
+      pending.emplace_back(entry);
     }
   }
 
   for (size_t i = 0; i < pending.size(); ++i) {
     MetricSample& sample = snap.samples[i];
-    const PendingSample& p = pending[i];
-    switch (sample.kind) {
-      case MetricKind::kCounter:
-        sample.value = p.counter_fn
-                           ? static_cast<double>(p.counter_fn())
-                           : static_cast<double>(p.counter->Value());
-        break;
-      case MetricKind::kGauge:
-        sample.value = p.gauge_fn ? p.gauge_fn()
-                                  : static_cast<double>(p.gauge->Value());
-        break;
-      case MetricKind::kHistogram:
-        sample.hist =
-            p.histogram_fn ? p.histogram_fn() : p.histogram->Snapshot();
-        sample.value = static_cast<double>(sample.hist.count());
-        break;
+    if (sample.kind == MetricKind::kHistogram) {
+      sample.hist = pending[i].Hist();
+      sample.value = static_cast<double>(sample.hist.count());
+    } else {
+      sample.value = pending[i].Value();
     }
   }
   if (!providers.empty()) {
@@ -176,6 +180,18 @@ MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
               });
   }
   return snap;
+}
+
+bool MetricsRegistry::Read(const std::string& name, double* value) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.kind == MetricKind::kHistogram) {
+    return false;
+  }
+  const Pending pending(it->second);
+  lock.unlock();
+  *value = pending.Value();
+  return true;
 }
 
 size_t MetricsRegistry::NumMetrics() const {

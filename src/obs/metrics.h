@@ -9,9 +9,9 @@
 //     up) an instrument owned by the registry; callers cache the returned
 //     pointer and update it lock-free.
 //   * Pull callbacks — Register*Callback attach a function evaluated at
-//     Snapshot() time, used to surface pre-existing counters (DbStatistics,
-//     SsdModel, PmPool) and computed gauges (q_flush, level sizes) without
-//     duplicating state.
+//     Snapshot() or Read() time, used to surface pre-existing counters
+//     (DbStatistics, SsdModel, PmPool) and computed gauges (q_flush, level
+//     sizes) without duplicating state.
 //
 // Naming convention: dot-separated lowercase paths under the "pmblade."
 // root, e.g. "pmblade.reads.memtable", "pmblade.compaction.internal.count",
@@ -131,6 +131,12 @@ class MetricsRegistry {
   /// unrelated mutexes (e.g. the DB mutex) whose holders call GetCounter().
   MetricsSnapshot Snapshot(uint64_t now_nanos = 0) const;
 
+  /// Current value of one counter or gauge, without a full snapshot: only
+  /// `name`'s instrument or callback is evaluated, the callback outside the
+  /// registry lock as in Snapshot(). Snapshot providers are not consulted.
+  /// Returns false if `name` is not registered or is a histogram.
+  bool Read(const std::string& name, double* value) const;
+
   size_t NumMetrics() const;
 
  private:
@@ -145,6 +151,9 @@ class MetricsRegistry {
     std::function<double()> gauge_fn;
     std::function<Histogram()> histogram_fn;
   };
+  // An entry's instruments and callbacks, copied under mu_ and evaluated
+  // after it is released (defined in metrics.cc).
+  struct Pending;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // sorted by name

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "obs/metrics.h"
 #include "sstable/block.h"
 
 namespace pmblade {
@@ -115,6 +116,21 @@ size_t BlockCache::TotalCharge() const {
     total += shard->usage;
   }
   return total;
+}
+
+void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
+  registry->RegisterGaugeCallback("pmblade.blockcache.hits", [this] {
+    return static_cast<double>(hits());
+  });
+  registry->RegisterGaugeCallback("pmblade.blockcache.misses", [this] {
+    return static_cast<double>(misses());
+  });
+  registry->RegisterGaugeCallback("pmblade.blockcache.charge", [this] {
+    return static_cast<double>(TotalCharge());
+  });
+  registry->RegisterGaugeCallback("pmblade.blockcache.capacity", [this] {
+    return static_cast<double>(capacity());
+  });
 }
 
 }  // namespace pmblade

@@ -13,6 +13,10 @@
 
 namespace pmblade {
 
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
 class Block;
 
 class BlockCache {
@@ -46,6 +50,10 @@ class BlockCache {
   size_t TotalCharge() const;
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+
+  /// Registers the "pmblade.blockcache.{hits,misses,charge,capacity}"
+  /// gauges. The cache must outlive the registry's reads.
+  void RegisterMetrics(obs::MetricsRegistry* registry);
 
  private:
   struct Shard;

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/db.h"
 #include "core/db_impl.h"
@@ -583,6 +587,292 @@ TEST_F(DbObservabilityTest, UnknownStringPropertyReturnsFalse) {
   std::string out = "untouched";
   ASSERT_FALSE(db_->GetProperty("pmblade.no.such.property", &out));
   ASSERT_EQ(out, "untouched");
+}
+
+// ---------------------------------------------------------------------------
+// Golden property table: every dashed numeric property is an alias of one
+// registry metric and reads the same value as that metric's snapshot
+// sample, on one shard and (through the facade's aggregation) on four.
+// ---------------------------------------------------------------------------
+
+// Every dashed numeric property db.h documents, with the metric it aliases.
+const std::vector<std::pair<std::string, std::string>>& DashedProperties() {
+  static const std::vector<std::pair<std::string, std::string>> kTable = {
+      {"pmblade.write-pressure", "pmblade.write.pressure"},
+      {"pmblade.wal-syncs", "pmblade.wal.syncs"},
+      {"pmblade.write-groups", "pmblade.write.groups"},
+      {"pmblade.write-group-writes", "pmblade.write.group_writes"},
+      {"pmblade.write-slowdowns", "pmblade.write.slowdowns"},
+      {"pmblade.write-stalls", "pmblade.write.stalls"},
+      {"pmblade.write-stall-nanos", "pmblade.write.stall_nanos"},
+      {"pmblade.bg-flushes", "pmblade.flush.bg_flushes"},
+      {"pmblade.memtable-limit", "pmblade.write.memtable_limit"},
+      {"pmblade.open-snapshots", "pmblade.snapshots.open"},
+      {"pmblade.txn-prepared", "pmblade.txn.prepared"},
+      {"pmblade.txn-committed", "pmblade.txn.committed"},
+      {"pmblade.txn-rolled-back", "pmblade.txn.rolled_back"},
+      {"pmblade.txn-pending", "pmblade.txn.pending"},
+      {"pmblade.txn-retained", "pmblade.txn.retained"},
+      {"pmblade.txn-in-doubt", "pmblade.txn.in_doubt"},
+      {"pmblade.txn-resolved-commit", "pmblade.txn.resolved_commit"},
+      {"pmblade.txn-resolved-rollback", "pmblade.txn.resolved_rollback"},
+      {"pmblade.compactions-completed", "pmblade.compaction.sched.completed"},
+      {"pmblade.compactions-failed", "pmblade.compaction.sched.failed"},
+      {"pmblade.compaction-retries", "pmblade.compaction.sched.retries"},
+      {"pmblade.compaction-queue-depth", "pmblade.compaction.queue_depth"},
+      {"pmblade.compaction-workers", "pmblade.compaction.workers"},
+      {"pmblade.compaction-active", "pmblade.compaction.active"},
+      {"pmblade.compaction-subcompactions",
+       "pmblade.compaction.subcompactions"},
+      {"pmblade.compaction-major-wall-nanos",
+       "pmblade.compaction.major.wall_nanos"},
+      {"pmblade.file-gc-failures", "pmblade.gc.remove_failures"},
+      {"pmblade.bloom-checks", "pmblade.bloom.checks"},
+      {"pmblade.bloom-negatives", "pmblade.bloom.negatives"},
+      {"pmblade.bloom-false-positives", "pmblade.bloom.false_positives"},
+      {"pmblade.blockcache-charge", "pmblade.blockcache.charge"},
+      {"pmblade.blockcache-capacity", "pmblade.blockcache.capacity"},
+      {"pmblade.mem-rebalances", "pmblade.mem.rebalances"},
+      {"pmblade.pm-used-bytes", "pmblade.pm.used_bytes"},
+      {"pmblade.pm-bytes-written", "pmblade.pm.bytes_written"},
+      {"pmblade.num-partitions", "pmblade.lsm.num_partitions"},
+      {"pmblade.num-unsorted-tables", "pmblade.lsm.unsorted_tables"},
+      {"pmblade.num-sorted-tables", "pmblade.lsm.sorted_tables"},
+      {"pmblade.l0-bytes", "pmblade.lsm.l0_bytes"},
+      {"pmblade.l1-bytes", "pmblade.lsm.l1_bytes"},
+      {"pmblade.ssd-bytes", "pmblade.lsm.l1_bytes"},
+      {"pmblade.num-ssd-runs", "pmblade.lsm.ssd_runs"},
+      {"pmblade.max-ssd-level", "pmblade.lsm.max_ssd_level"},
+      {"pmblade.ssd-bytes-written", "pmblade.compaction.major.bytes"},
+      {"pmblade.ssd-user-bytes-written", "pmblade.write.user_bytes"},
+      {"pmblade.num-shards", "pmblade.shards"},
+  };
+  return kTable;
+}
+
+class DbPropertyAliasTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "pmblade_property_alias_test";
+    options_ = Options();
+    options_.num_shards = GetParam();
+    DestroyDB(options_, dbname_);
+    options_.memtable_bytes = 32 << 10;
+    options_.pm_pool_capacity = 16 << 20;
+    options_.pm_latency.inject_latency = false;
+    options_.cost.tau_t = 1 << 10;  // CompactToLevel1 always has victims
+    options_.partition_boundaries = {"key3", "key6"};
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options_, dbname_, &db).ok());
+    db_ = std::move(db);
+  }
+  void TearDown() override {
+    db_.reset();
+    DestroyDB(options_, dbname_);
+  }
+
+  // Waits until no flush or compaction is queued or running, so property
+  // reads and snapshots see the same state.
+  void WaitQuiet() {
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      obs::MetricsSnapshot snap = db_->metrics_registry()->Snapshot();
+      double busy = 0;
+      for (const char* name :
+           {"pmblade.compaction.queue_depth", "pmblade.compaction.active",
+            "pmblade.compaction.running", "pmblade.flush.queue_depth"}) {
+        const obs::MetricSample* s = snap.Find(name);
+        if (s != nullptr) busy += s->value;
+      }
+      if (busy == 0) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    FAIL() << "engine did not go quiet";
+  }
+
+  // The snapshot value of `metric`, 0 when this configuration does not
+  // register it.
+  static uint64_t SampleValue(const obs::MetricsSnapshot& snap,
+                              const std::string& metric) {
+    const obs::MetricSample* s = snap.Find(metric);
+    return s == nullptr ? 0 : static_cast<uint64_t>(s->value);
+  }
+
+  std::string dbname_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+TEST_P(DbPropertyAliasTest, EveryPropertyReadsItsAliasedMetric) {
+  std::string value(128, 'v');
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), "key" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->CompactToLevel1(true).ok());
+  const uint64_t snapshot = db_->GetSnapshot();
+  WaitQuiet();
+
+  std::vector<std::pair<std::string, std::string>> table = DashedProperties();
+  for (uint32_t level = 0; level <= options_.max_ssd_levels; ++level) {
+    for (const char* stat : {"runs", "files", "bytes"}) {
+      const std::string name =
+          "pmblade.lsm.level" + std::to_string(level) + "." + stat;
+      table.emplace_back(name, name);
+    }
+  }
+
+  obs::MetricsSnapshot snap = db_->metrics_registry()->Snapshot();
+  for (const auto& [property, metric] : table) {
+    uint64_t got = 0;
+    ASSERT_TRUE(db_->GetProperty(property, &got)) << property;
+    EXPECT_EQ(got, SampleValue(snap, metric)) << property << " vs " << metric;
+  }
+  // The facade's per-shard drill-down reads the shard's own metric.
+  if (GetParam() > 1) {
+    for (uint32_t i = 0; i < GetParam(); ++i) {
+      const std::string shard = "pmblade.shard." + std::to_string(i) + ".";
+      for (const auto& [property, metric] : table) {
+        uint64_t got = 0;
+        ASSERT_TRUE(db_->GetProperty(shard + property.substr(8), &got))
+            << shard << property;
+        EXPECT_EQ(got, SampleValue(snap, shard + metric.substr(8)))
+            << shard << property;
+      }
+    }
+  }
+
+  // Spot checks that the workload reached every layer the table covers.
+  uint64_t v = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.ssd-bytes", &v));
+  EXPECT_GT(v, 0u);
+  ASSERT_TRUE(db_->GetProperty("pmblade.open-snapshots", &v));
+  EXPECT_EQ(v, 1u);
+  ASSERT_TRUE(db_->GetProperty("pmblade.num-shards", &v));
+  EXPECT_EQ(v, GetParam());
+  db_->ReleaseSnapshot(snapshot);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, DbPropertyAliasTest,
+                         ::testing::Values(1u, 4u));
+
+// The exported metric names of a freshly opened default single-shard DB.
+// A name that appears or disappears here changes every exporter's output.
+TEST(DbMetricNamesTest, DefaultSingleShardNameSetIsPinned) {
+  const std::string dbname = ::testing::TempDir() + "pmblade_metric_names";
+  Options options;
+  DestroyDB(options, dbname);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::vector<std::string> names;
+  for (const auto& sample : db->metrics_registry()->Snapshot().samples) {
+    names.push_back(sample.name);
+  }
+  db.reset();
+  DestroyDB(options, dbname);
+  const std::vector<std::string> expected = {
+      "pmblade.blockcache.capacity",
+      "pmblade.blockcache.charge",
+      "pmblade.blockcache.hits",
+      "pmblade.blockcache.misses",
+      "pmblade.bloom.checks",
+      "pmblade.bloom.false_positives",
+      "pmblade.bloom.negatives",
+      "pmblade.compaction.active",
+      "pmblade.compaction.internal.bytes_in",
+      "pmblade.compaction.internal.bytes_out",
+      "pmblade.compaction.internal.count",
+      "pmblade.compaction.major.bytes",
+      "pmblade.compaction.major.count",
+      "pmblade.compaction.major.wall_nanos",
+      "pmblade.compaction.queue_depth",
+      "pmblade.compaction.running",
+      "pmblade.compaction.sched.completed",
+      "pmblade.compaction.sched.deduped",
+      "pmblade.compaction.sched.failed",
+      "pmblade.compaction.sched.queued",
+      "pmblade.compaction.sched.retries",
+      "pmblade.compaction.subcompactions",
+      "pmblade.compaction.workers",
+      "pmblade.cost.decisions",
+      "pmblade.cost.eq1_triggered",
+      "pmblade.cost.eq2_triggered",
+      "pmblade.cost.keep_set_selections",
+      "pmblade.flush.bg_flushes",
+      "pmblade.flush.count",
+      "pmblade.flush.queue_depth",
+      "pmblade.gc.remove_failures",
+      "pmblade.io.q_flush",
+      "pmblade.latency.get",
+      "pmblade.latency.put",
+      "pmblade.latency.scan",
+      "pmblade.lsm.l0_bytes",
+      "pmblade.lsm.l1_bytes",
+      "pmblade.lsm.level0.bytes",
+      "pmblade.lsm.level0.files",
+      "pmblade.lsm.level0.runs",
+      "pmblade.lsm.level1.bytes",
+      "pmblade.lsm.level1.files",
+      "pmblade.lsm.level1.runs",
+      "pmblade.lsm.level2.bytes",
+      "pmblade.lsm.level2.files",
+      "pmblade.lsm.level2.runs",
+      "pmblade.lsm.level3.bytes",
+      "pmblade.lsm.level3.files",
+      "pmblade.lsm.level3.runs",
+      "pmblade.lsm.max_ssd_level",
+      "pmblade.lsm.num_partitions",
+      "pmblade.lsm.sorted_tables",
+      "pmblade.lsm.ssd_runs",
+      "pmblade.lsm.unsorted_tables",
+      "pmblade.pm.bytes_read",
+      "pmblade.pm.bytes_written",
+      "pmblade.pm.capacity_bytes",
+      "pmblade.pm.free_bytes",
+      "pmblade.pm.largest_free_extent",
+      "pmblade.pm.persists",
+      "pmblade.pm.read_accesses",
+      "pmblade.pm.used_bytes",
+      "pmblade.policy",
+      "pmblade.reads.memtable",
+      "pmblade.reads.miss",
+      "pmblade.reads.pm_l0",
+      "pmblade.reads.ssd_l1",
+      "pmblade.scan.entries",
+      "pmblade.scans",
+      "pmblade.shards",
+      "pmblade.snapshots.open",
+      "pmblade.ssd.busy_nanos",
+      "pmblade.ssd.bytes_read",
+      "pmblade.ssd.bytes_written",
+      "pmblade.ssd.inflight.client",
+      "pmblade.ssd.inflight.compaction",
+      "pmblade.ssd.inflight.flush",
+      "pmblade.ssd.latency_nanos",
+      "pmblade.ssd.queue_high_water",
+      "pmblade.ssd.reads",
+      "pmblade.ssd.service_nanos",
+      "pmblade.ssd.writes",
+      "pmblade.txn.committed",
+      "pmblade.txn.pending",
+      "pmblade.txn.prepared",
+      "pmblade.txn.retained",
+      "pmblade.txn.rolled_back",
+      "pmblade.wal.syncs",
+      "pmblade.write.group_size",
+      "pmblade.write.group_writes",
+      "pmblade.write.groups",
+      "pmblade.write.memtable_limit",
+      "pmblade.write.pressure",
+      "pmblade.write.queue_depth",
+      "pmblade.write.slowdowns",
+      "pmblade.write.stall_nanos",
+      "pmblade.write.stalls",
+      "pmblade.write.user_bytes",
+      "pmblade.write.writes_per_sync",
+      "pmblade.writes",
+  };
+  EXPECT_EQ(names, expected);
 }
 
 TEST_F(DbObservabilityTest, TracingDisabledWithZeroRingCapacity) {

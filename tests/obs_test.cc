@@ -1,12 +1,13 @@
 // Tests for the observability subsystem (src/obs): MetricsRegistry
-// semantics, EventBus fan-out and ordering, TraceRecorder ring behaviour,
-// the Prometheus/JSON exporters, and the JSON validator they are checked
-// with.
+// semantics (Snapshot and single-metric Read), EventBus fan-out and
+// ordering, TraceRecorder ring behaviour, the Prometheus/JSON exporters,
+// and the JSON validator they are checked with.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -154,6 +155,64 @@ TEST(MetricsRegistryTest, SnapshotToleratesReentrantCallback) {
   const MetricSample* sample = snap.Find("pmblade.test.reentrant");
   ASSERT_NE(sample, nullptr);
   ASSERT_EQ(sample->value, 11.0);
+}
+
+TEST(MetricsRegistryTest, ReadEvaluatesOneCounterOrGauge) {
+  MetricsRegistry registry;
+  registry.GetCounter("pmblade.test.owned")->Inc(5);
+  registry.GetGauge("pmblade.test.owned_gauge")->Set(-3);
+  registry.RegisterCounterCallback("pmblade.test.counter_fn",
+                                   [] { return uint64_t{9}; });
+  registry.RegisterGaugeCallback("pmblade.test.gauge_fn", [] { return 2.5; });
+  double v = 0;
+  ASSERT_TRUE(registry.Read("pmblade.test.owned", &v));
+  EXPECT_EQ(v, 5.0);
+  ASSERT_TRUE(registry.Read("pmblade.test.owned_gauge", &v));
+  EXPECT_EQ(v, -3.0);
+  ASSERT_TRUE(registry.Read("pmblade.test.counter_fn", &v));
+  EXPECT_EQ(v, 9.0);
+  ASSERT_TRUE(registry.Read("pmblade.test.gauge_fn", &v));
+  EXPECT_EQ(v, 2.5);
+}
+
+TEST(MetricsRegistryTest, ReadRejectsAbsentAndHistogramNames) {
+  MetricsRegistry registry;
+  registry.GetHistogram("pmblade.test.hist")->Observe(7);
+  registry.RegisterHistogramCallback("pmblade.test.hist_fn",
+                                     [] { return Histogram(); });
+  double v = 42;
+  EXPECT_FALSE(registry.Read("pmblade.test.absent", &v));
+  EXPECT_FALSE(registry.Read("pmblade.test.hist", &v));
+  EXPECT_FALSE(registry.Read("pmblade.test.hist_fn", &v));
+  EXPECT_EQ(v, 42.0);
+}
+
+TEST(MetricsRegistryTest, ReadRunsCallbackOutsideRegistryLock) {
+  // Same lock-order contract as Snapshot(): the callback takes an outside
+  // mutex whose holder calls GetCounter(). Evaluating the callback under
+  // the registry lock would invert the order (a deadlock here, a
+  // lock-order report under TSan).
+  MetricsRegistry registry;
+  std::mutex outside;
+  registry.RegisterGaugeCallback("pmblade.test.locked", [&] {
+    std::lock_guard<std::mutex> lock(outside);
+    return static_cast<double>(
+        registry.GetCounter("pmblade.test.inner")->Value());
+  });
+  constexpr int kRounds = 2000;
+  std::thread holder([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      std::lock_guard<std::mutex> lock(outside);
+      registry.GetCounter("pmblade.test.inner")->Inc();
+    }
+  });
+  double v = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(registry.Read("pmblade.test.locked", &v));
+  }
+  holder.join();
+  ASSERT_TRUE(registry.Read("pmblade.test.locked", &v));
+  EXPECT_EQ(v, static_cast<double>(kRounds));
 }
 
 TEST(MetricsRegistryTest, ConcurrentCounterIncrements) {

@@ -21,8 +21,10 @@
 #include "core/db.h"
 #include "core/sharded_db.h"
 #include "env/env.h"
+#include "env/ssd_model.h"
 #include "net/commands.h"
 #include "net/resp.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -306,6 +308,40 @@ TEST_F(ShardedDBTest, PropertiesAggregateAndBreakOutPerShard) {
   ASSERT_TRUE(db_->GetProperty("pmblade.stats.json", &json));
   EXPECT_NE(json.find("pmblade.shard.0."), std::string::npos);
   EXPECT_NE(json.find("pmblade.flush.count"), std::string::npos);
+}
+
+TEST_F(ShardedDBTest, FacadeSnapshotDoesNotSumNonAdditiveGauges) {
+  // A policy ordinal, a ratio and the free I/O budget of one shared SSD
+  // model do not add up across shards; the facade must not sum them.
+  SsdModelOptions mopts;
+  mopts.inject_latency = false;
+  SsdModel model(mopts);
+  options_.num_shards = 2;
+  options_.compaction_policy = "tiered";
+  options_.ssd_model = &model;
+  options_.sync_wal = true;
+  Open();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+  }
+  obs::MetricsSnapshot snap = db_->metrics_registry()->Snapshot();
+  auto value = [&snap](const std::string& name) {
+    const obs::MetricSample* sample = snap.Find(name);
+    EXPECT_NE(sample, nullptr) << name;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  EXPECT_EQ(value("pmblade.policy"), 1.0);  // tiered, as on every shard
+  EXPECT_LE(value("pmblade.io.q_flush"),
+            static_cast<double>(options_.major.max_io_q));
+  double writes = 0, syncs = 0;
+  for (int i = 0; i < 2; ++i) {
+    const std::string shard = "pmblade.shard." + std::to_string(i) + ".";
+    writes += value(shard + "write.group_writes");
+    syncs += value(shard + "wal.syncs");
+  }
+  EXPECT_GT(syncs, 0.0);
+  EXPECT_DOUBLE_EQ(value("pmblade.write.writes_per_sync"), writes / syncs);
+  db_.reset();  // before `model` goes out of scope
 }
 
 TEST_F(ShardedDBTest, ShardPropertyIndexOverflowIsRejected) {
