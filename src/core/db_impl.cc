@@ -320,43 +320,43 @@ Status DBImpl::Init() {
     return static_cast<double>(std::max(q - q_comp - q_cli, 0));
   });
   // LSM shape, each summed over the partitions under mu_.
-  auto partition_sum = [this](uint64_t (*per_partition)(const Partition&)) {
-    return [this, per_partition] {
+  auto partition_sum = [this](uint64_t (*per_part)(const PartitionSnapshot&)) {
+    return [this, per_part] {
       std::lock_guard<std::mutex> lock(mu_);
       uint64_t total = 0;
-      for (const auto& p : partitions_) total += per_partition(*p);
+      for (const auto& p : partitions_) total += per_part(*p->current());
       return static_cast<double>(total);
     };
   };
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.l0_bytes",
-      partition_sum([](const Partition& p) { return p.L0Bytes(); }));
+      partition_sum([](const PartitionSnapshot& t) { return t.L0Bytes(); }));
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.l1_bytes",
-      partition_sum([](const Partition& p) { return p.SsdBytes(); }));
+      partition_sum([](const PartitionSnapshot& t) { return t.SsdBytes(); }));
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.num_partitions",
-      partition_sum([](const Partition&) -> uint64_t { return 1; }));
+      partition_sum([](const PartitionSnapshot&) -> uint64_t { return 1; }));
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.unsorted_tables",
-      partition_sum([](const Partition& p) -> uint64_t {
-        return p.unsorted().size();
+      partition_sum([](const PartitionSnapshot& t) -> uint64_t {
+        return t.unsorted.size();
       }));
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.sorted_tables",
-      partition_sum([](const Partition& p) -> uint64_t {
-        return p.sorted_run().size();
+      partition_sum([](const PartitionSnapshot& t) -> uint64_t {
+        return t.sorted_run.size();
       }));
   metrics_.RegisterGaugeCallback(
       "pmblade.lsm.ssd_runs",
-      partition_sum([](const Partition& p) -> uint64_t {
-        return p.ssd_runs().size();
+      partition_sum([](const PartitionSnapshot& t) -> uint64_t {
+        return t.ssd_runs.size();
       }));
   metrics_.RegisterGaugeCallback("pmblade.lsm.max_ssd_level", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     uint32_t deepest = 0;
     for (const auto& p : partitions_) {
-      deepest = std::max(deepest, p->MaxSsdLevel());
+      deepest = std::max(deepest, p->current()->MaxSsdLevel());
     }
     return static_cast<double>(deepest);
   });
@@ -645,25 +645,26 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
     auto partition = std::make_unique<Partition>(mp.id, mp.begin_key,
                                                  mp.end_key, clock_);
     next_partition_id_ = std::max(next_partition_id_, mp.id + 1);
+    auto tables = std::make_shared<PartitionSnapshot>(*partition->current());
     for (uint64_t id : mp.unsorted_pm_ids) {
       L0TableRef t;
       PMBLADE_RETURN_IF_ERROR(open_pm(id, &t));
-      partition->unsorted().push_back(std::move(t));
+      tables->unsorted.push_back(std::move(t));
     }
     for (uint64_t id : mp.sorted_pm_ids) {
       L0TableRef t;
       PMBLADE_RETURN_IF_ERROR(open_pm(id, &t));
-      partition->sorted_run().push_back(std::move(t));
+      tables->sorted_run.push_back(std::move(t));
     }
     for (uint64_t number : mp.unsorted_file_numbers) {
       L0TableRef t;
       PMBLADE_RETURN_IF_ERROR(open_sst(number, &t));
-      partition->unsorted().push_back(std::move(t));
+      tables->unsorted.push_back(std::move(t));
     }
     for (uint64_t number : mp.sorted_file_numbers) {
       L0TableRef t;
       PMBLADE_RETURN_IF_ERROR(open_sst(number, &t));
-      partition->sorted_run().push_back(std::move(t));
+      tables->sorted_run.push_back(std::move(t));
     }
     for (const ManifestSsdRun& mrun : mp.ssd_runs) {
       SsdRun run;
@@ -673,8 +674,9 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
         PMBLADE_RETURN_IF_ERROR(open_sst(number, &t));
         run.tables.push_back(std::move(t));
       }
-      partition->ssd_runs().push_back(std::move(run));
+      tables->ssd_runs.push_back(std::move(run));
     }
+    partition->Install(std::move(tables));
     partitions_.push_back(std::move(partition));
   }
 
@@ -887,15 +889,16 @@ Status DBImpl::PersistManifest() {
     mp.begin_key = partition->begin_key();
     mp.end_key = partition->end_key();
     const bool ssd_l0 = options_.l0_layout == L0Layout::kSstable;
-    for (const auto& table : partition->unsorted()) {
+    const PartitionSnapshot& tables = *partition->current();
+    for (const auto& table : tables.unsorted) {
       (ssd_l0 ? mp.unsorted_file_numbers : mp.unsorted_pm_ids)
           .push_back(table->id());
     }
-    for (const auto& table : partition->sorted_run()) {
+    for (const auto& table : tables.sorted_run) {
       (ssd_l0 ? mp.sorted_file_numbers : mp.sorted_pm_ids)
           .push_back(table->id());
     }
-    for (const SsdRun& run : partition->ssd_runs()) {
+    for (const SsdRun& run : tables.ssd_runs) {
       ManifestSsdRun mrun;
       mrun.level = run.level;
       for (const auto& table : run.tables) {
@@ -1526,9 +1529,11 @@ void DBImpl::BackgroundFlush() {
     // Install under a short critical section: newest first per partition.
     std::vector<Partition*> touched;
     for (auto& entry : built) {
-      entry.first->unsorted().insert(entry.first->unsorted().begin(),
-                                     entry.second);
-      touched.push_back(entry.first);
+      Partition* partition = entry.first;
+      auto next = std::make_shared<PartitionSnapshot>(*partition->current());
+      next->unsorted.insert(next->unsorted.begin(), std::move(entry.second));
+      partition->Install(std::move(next));
+      touched.push_back(partition);
     }
     imm_->Unref();
     imm_ = nullptr;
@@ -1807,7 +1812,8 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
   // l0_table_trigger level-0 tables, compact the ENTIRE level-0 down.
   bool due = false;
   for (const auto& partition : partitions_) {
-    if (partition->unsorted().size() + partition->sorted_run().size() >=
+    const PartitionSnapshot& tables = *partition->current();
+    if (tables.unsorted.size() + tables.sorted_run.size() >=
         options_.l0_table_trigger) {
       due = true;
       break;
@@ -1823,7 +1829,7 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
     std::vector<Partition*> extra_claims;
     for (const auto& partition : partitions_) {
       Partition* p = partition.get();
-      if (p->L0Bytes() == 0) continue;
+      if (p->current()->L0Bytes() == 0) continue;
       if (ours.count(p) == 0) {
         if (!compacting_.insert(p).second) continue;  // held by a sibling
         extra_claims.push_back(p);
@@ -1877,25 +1883,24 @@ void DBImpl::EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
 
 Status DBImpl::RunInternalCompactionOnPartition(
     std::unique_lock<std::mutex>& lock, Partition* partition) {
-  if (partition->unsorted().empty() && partition->sorted_run().size() <= 1) {
+  // The merge input. Only this (claim-holding) thread removes tables from
+  // the partition, so `before`'s unsorted tables stay a suffix of the
+  // current set's while the merge runs; flushes may prepend newer tables.
+  const std::shared_ptr<const PartitionSnapshot> before = partition->current();
+  if (before->unsorted.empty() && before->sorted_run.size() <= 1) {
     return Status::OK();
   }
-  // Snapshot the inputs under mu_. Only this (scheduler) thread ever
-  // removes tables from the partition, so the snapshot stays a suffix of
-  // unsorted() while the merge runs; flushes may prepend newer tables.
-  std::vector<L0TableRef> snap_unsorted = partition->unsorted();
-  std::vector<L0TableRef> snap_sorted = partition->sorted_run();
-  std::vector<L0TableRef> inputs = snap_unsorted;  // newest first
-  for (const auto& table : snap_sorted) inputs.push_back(table);
+  std::vector<L0TableRef> inputs = before->unsorted;  // newest first
+  for (const auto& table : before->sorted_run) inputs.push_back(table);
 
   L0TableFactory* factory =
       l0_factory_ != nullptr ? l0_factory_.get() : l1_factory_.get();
 
   InternalCompactionOptions copts;
   copts.target_table_bytes = options_.internal_table_target_bytes;
-  // ssd_runs is only mutated by this thread, so the verdict stays valid
-  // while the lock is released below.
-  copts.drop_tombstones = partition->ssd_runs().empty();
+  // The SSD stack only changes under this thread's claim, so the verdict
+  // stays valid while the lock is released below.
+  copts.drop_tombstones = before->ssd_runs.empty();
   copts.oldest_snapshot = OldestLiveSnapshot();
   copts.clock = clock_;
   copts.event_bus = &events_;
@@ -1917,11 +1922,13 @@ Status DBImpl::RunInternalCompactionOnPartition(
   }
   lock.lock();
 
-  // Install under mu_: remove exactly the snapshotted tables (newer flushed
-  // tables at the front of unsorted() stay, correctly ordered above the
-  // merged run).
-  Partition::RemoveTables(&partition->unsorted(), snap_unsorted);
-  partition->sorted_run() = std::move(outputs);
+  // Install under mu_ onto the CURRENT set: remove exactly `before`'s
+  // unsorted tables (newer flushed tables at the front stay, correctly
+  // ordered above the merged run).
+  auto next = std::make_shared<PartitionSnapshot>(*partition->current());
+  Partition::RemoveTables(&next->unsorted, before->unsorted);
+  next->sorted_run = std::move(outputs);
+  partition->Install(std::move(next));
   partition->ResetCounters();
   stats_.AddInternalCompaction(cstats.input_bytes, cstats.output_bytes);
 
@@ -1934,8 +1941,7 @@ Status DBImpl::RunInternalCompactionOnPartition(
     return s;
   }
   PMBLADE_SYNC_POINT("DBImpl::InternalCompaction:AfterManifest");
-  for (auto& table : snap_unsorted) table->Destroy();
-  for (auto& table : snap_sorted) table->Destroy();
+  for (auto& table : inputs) table->Destroy();
 
   PMBLADE_INFO(options_.logger,
                "internal compaction p%llu: %llu->%llu tables, released %lld B",
@@ -1951,7 +1957,7 @@ DBImpl::MajorJob DBImpl::FullCollapseJob(Partition* partition) {
   job.partition = partition;
   job.include_l0 = true;
   job.run_begin = 0;
-  job.run_end = partition->ssd_runs().size();
+  job.run_end = partition->current()->ssd_runs.size();
   job.output_level = 1;
   return job;
 }
@@ -1961,11 +1967,12 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
   ctx.partitions.reserve(partitions_.size());
   for (const auto& up : partitions_) {
     Partition* partition = up.get();
+    const PartitionSnapshot& tables = *partition->current();
     PartitionView view;
     view.counters = partition->Counters();
-    view.l0_bytes = partition->L0Bytes();
-    view.runs.reserve(partition->ssd_runs().size());
-    for (const SsdRun& run : partition->ssd_runs()) {
+    view.l0_bytes = tables.L0Bytes();
+    view.runs.reserve(tables.ssd_runs.size());
+    for (const SsdRun& run : tables.ssd_runs) {
       PartitionView::RunView rv;
       rv.level = run.level;
       rv.bytes = run.bytes();
@@ -1988,19 +1995,12 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
 
 Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
                                         const std::vector<MajorJob>& jobs) {
-  // Snapshot every job's table sets under mu_ (both for the merge inputs
-  // and for the identity-based install below — tables flushed during the
-  // merge must survive it). Run indices stay valid while mu_ is released:
-  // the caller holds each job partition's claim, only the claim holder
-  // mutates ssd_runs(), and flushes never touch the stack.
-  struct JobSnapshot {
-    std::vector<L0TableRef> unsorted;                // include_l0 jobs only
-    std::vector<L0TableRef> sorted;                  // include_l0 jobs only
-    std::vector<std::vector<L0TableRef>> runs;       // [run_begin, run_end)
-    bool drop_tombstones = false;
-  };
-  std::vector<JobSnapshot> snaps;
-  snaps.reserve(jobs.size());
+  // Each job merges its partition's table set as of now, `befores[j]`,
+  // with mu_ released. Run indices stay valid through the install: the
+  // caller holds each job partition's claim, only the claim holder edits
+  // the SSD stack, and flushes never touch it.
+  std::vector<std::shared_ptr<const PartitionSnapshot>> befores;
+  befores.reserve(jobs.size());
   std::vector<CompactionSubtaskInput> subtasks;
   /// subtasks[i] merges one key-range slice of job subtask_job[i]; slices
   /// of a job occupy consecutive subtask indices in ascending key order,
@@ -2011,29 +2011,22 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       static_cast<size_t>(std::max(options_.max_subcompactions, 1));
   for (size_t j = 0; j < jobs.size(); ++j) {
     const MajorJob& job = jobs[j];
-    Partition* partition = job.partition;
-    JobSnapshot snap;
-    if (job.include_l0) {
-      snap.unsorted = partition->unsorted();
-      snap.sorted = partition->sorted_run();
-    }
-    const std::vector<SsdRun>& stack = partition->ssd_runs();
-    const size_t run_end = std::min(job.run_end, stack.size());
-    for (size_t r = job.run_begin; r < run_end; ++r) {
-      snap.runs.push_back(stack[r].tables);
-    }
+    std::shared_ptr<const PartitionSnapshot> before = job.partition->current();
+    befores.push_back(before);
+    const size_t run_begin = job.run_begin;
+    const size_t run_end = std::min(job.run_end, before->ssd_runs.size());
     // Tombstones may drop only when the job's inputs reach the oldest run
     // (its output becomes the new bottom of this partition's stack). A
     // run-stacking eviction (run_end == run_begin == 0 over a non-empty
     // stack) or an upper-level block merge keeps them: older runs below may
     // still hold shadowed versions of the deleted keys.
-    snap.drop_tombstones = run_end >= stack.size();
+    const bool drop_tombstones = run_end >= before->ssd_runs.size();
 
     uint64_t pm_bytes = 0;
-    if (job.include_l0) pm_bytes = partition->L0Bytes();
+    if (job.include_l0) pm_bytes = before->L0Bytes();
     uint64_t ssd_bytes = 0;
-    for (const auto& run : snap.runs) {
-      for (const auto& table : run) ssd_bytes += table->size_bytes();
+    for (size_t r = run_begin; r < run_end; ++r) {
+      ssd_bytes += before->ssd_runs[r].bytes();
     }
     double ssd_fraction =
         (pm_bytes + ssd_bytes) > 0
@@ -2048,8 +2041,10 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
     // kept. Bounds compare user keys, so all versions of a key share a
     // slice.
     std::vector<std::string> bounds;
+    // (A job without input runs always includes level-0.)
     const std::vector<L0TableRef>& base_run =
-        !snap.runs.empty() ? snap.runs.back() : snap.sorted;
+        run_end > run_begin ? before->ssd_runs[run_end - 1].tables
+                            : before->sorted_run;
     if (max_slices > 1 && base_run.size() > 1) {
       const size_t k = base_run.size();
       const size_t want = std::min(max_slices - 1, k - 1);
@@ -2063,10 +2058,6 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       }
     }
 
-    // Capture the table sets by value so iterators outlive version edits.
-    std::vector<L0TableRef> unsorted = snap.unsorted;
-    std::vector<L0TableRef> sorted = snap.sorted;
-    std::vector<std::vector<L0TableRef>> runs = snap.runs;
     const bool include_l0 = job.include_l0;
     const InternalKeyComparator* icmp = &icmp_;
     const size_t num_slices = bounds.size() + 1;
@@ -2075,21 +2066,21 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       std::string hi = slice + 1 == num_slices ? std::string() : bounds[slice];
       CompactionSubtaskInput sub;
       sub.ssd_input_fraction = ssd_fraction;
-      sub.drop_tombstones = snap.drop_tombstones ? 1 : 0;
-      sub.make_input = [unsorted, sorted, runs, include_l0, icmp, lo,
+      sub.drop_tombstones = drop_tombstones ? 1 : 0;
+      sub.make_input = [before, include_l0, run_begin, run_end, icmp, lo,
                         hi]() -> Iterator* {
         // Child order is irrelevant for correctness (the merge resolves
         // duplicates by sequence number); newest-first mirrors the read
         // path.
         std::vector<Iterator*> children;
         if (include_l0) {
-          for (const auto& table : unsorted) {
+          for (const auto& table : before->unsorted) {
             children.push_back(table->NewIterator());
           }
-          children.push_back(NewRunIterator(icmp, sorted));
+          children.push_back(NewRunIterator(icmp, before->sorted_run));
         }
-        for (const auto& run : runs) {
-          children.push_back(NewRunIterator(icmp, run));
+        for (size_t r = run_begin; r < run_end; ++r) {
+          children.push_back(NewRunIterator(icmp, before->ssd_runs[r].tables));
         }
         Iterator* merged = NewMergingIterator(icmp, std::move(children));
         if (lo.empty() && hi.empty()) {
@@ -2103,7 +2094,6 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       subtasks.push_back(std::move(sub));
       subtask_job.push_back(j);
     }
-    snaps.push_back(std::move(snap));
   }
 
   MajorCompactionOptions mopts = options_.major;
@@ -2193,29 +2183,31 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
   lock.lock();
 
   // Install ALL jobs atomically under one mu_ hold + one manifest commit.
-  // Remove exactly the snapshotted tables; anything flushed into a
-  // partition while the merge ran stays in unsorted(), above the new run.
-  // The input run block [run_begin, run_end) is replaced in place by the
-  // output run, preserving the stack's newest-first recency order and its
+  // Each install edits a copy of the partition's CURRENT set: it removes
+  // exactly `before`'s level-0 inputs, so anything flushed into a partition
+  // while the merge ran stays in unsorted, above the new run. The input run
+  // block [run_begin, run_end) is replaced in place by the output run,
+  // preserving the stack's newest-first recency order and its
   // non-decreasing level tags.
   std::vector<L0TableRef> doomed;
   for (size_t j = 0; j < jobs.size(); ++j) {
     const MajorJob& job = jobs[j];
     Partition* partition = job.partition;
-    const JobSnapshot& snap = snaps[j];
-    for (auto& t : snap.unsorted) doomed.push_back(t);
-    for (auto& t : snap.sorted) doomed.push_back(t);
-    for (const auto& run : snap.runs) {
-      for (auto& t : run) doomed.push_back(t);
-    }
+    const PartitionSnapshot& before = *befores[j];
+    auto next = std::make_shared<PartitionSnapshot>(*partition->current());
     if (job.include_l0) {
-      Partition::RemoveTables(&partition->unsorted(), snap.unsorted);
-      Partition::RemoveTables(&partition->sorted_run(), snap.sorted);
+      for (auto& t : before.unsorted) doomed.push_back(t);
+      for (auto& t : before.sorted_run) doomed.push_back(t);
+      Partition::RemoveTables(&next->unsorted, before.unsorted);
+      Partition::RemoveTables(&next->sorted_run, before.sorted_run);
     }
-    std::vector<SsdRun>& stack = partition->ssd_runs();
-    const size_t erase_end = std::min(job.run_end, stack.size());
+    const size_t run_end = std::min(job.run_end, before.ssd_runs.size());
+    for (size_t r = job.run_begin; r < run_end; ++r) {
+      for (auto& t : before.ssd_runs[r].tables) doomed.push_back(t);
+    }
+    std::vector<SsdRun>& stack = next->ssd_runs;
     stack.erase(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
-                stack.begin() + static_cast<ptrdiff_t>(erase_end));
+                stack.begin() + static_cast<ptrdiff_t>(run_end));
     if (!new_runs[j].empty()) {
       SsdRun out;
       out.level = job.output_level;
@@ -2223,6 +2215,7 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       stack.insert(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
                    std::move(out));
     }
+    partition->Install(std::move(next));
     // Counters feed the Eq. 1/2/3 decisions about PM level-0; a pure
     // shape-maintenance merge does not consume L0, so it keeps them.
     if (job.include_l0) partition->ResetCounters();
@@ -2274,7 +2267,7 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
       uint64_t total_l0 = 0;
       for (const auto& partition : partitions_) {
         all.push_back(partition->Counters());
-        total_l0 += partition->L0Bytes();
+        total_l0 += partition->current()->L0Bytes();
       }
       std::vector<size_t> retained = cost_model_->SelectRetained(all);
       keep.insert(retained.begin(), retained.end());
@@ -2291,9 +2284,10 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
       // already one level-1 run (a tiered/lazy shape this manual "compact
       // everything to level 1" API promises to flatten). For leveled-built
       // data this reduces to the historical L0Bytes() > 0 filter.
-      const std::vector<SsdRun>& stack = partition->ssd_runs();
+      const PartitionSnapshot& tables = *partition->current();
+      const std::vector<SsdRun>& stack = tables.ssd_runs;
       bool flat = stack.size() == 1 && stack[0].level == 1;
-      if (partition->L0Bytes() == 0 && (stack.empty() || flat)) continue;
+      if (tables.L0Bytes() == 0 && (stack.empty() || flat)) continue;
       jobs.push_back(FullCollapseJob(partition));
     }
     if (jobs.empty()) return Status::OK();
@@ -2332,13 +2326,11 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   MemTable* mem = nullptr;
   MemTable* imm = nullptr;
   SequenceNumber snapshot;
-  std::vector<L0TableRef> unsorted;
-  std::vector<L0TableRef> sorted;
-  std::vector<std::vector<L0TableRef>> ssd_runs;  // newest first
+  std::shared_ptr<const PartitionSnapshot> tables;
   {
-    // Brief version grab: ref the memtables and copy the table refs, then
-    // probe everything lock-free. A flush or group commit in flight never
-    // blocks a reader past this block.
+    // Brief version grab: ref the memtables and copy the partition's table
+    // set pointer, then probe everything lock-free. A flush or group commit
+    // in flight never blocks a reader past this block.
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = options.snapshot != 0 ? options.snapshot : last_sequence_;
     mem = mem_;
@@ -2350,12 +2342,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     Partition* partition = FindPartition(key);
     if (partition != nullptr) {
       partition->NoteRead();
-      unsorted = partition->unsorted();
-      sorted = partition->sorted_run();
-      ssd_runs.reserve(partition->ssd_runs().size());
-      for (const SsdRun& run : partition->ssd_runs()) {
-        ssd_runs.push_back(run.tables);
-      }
+      tables = partition->current();
     }
   }
 
@@ -2382,9 +2369,9 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // gauge; PM-resident level-0 probes never touch the SSD queue.
   const bool ssd_l0 =
       track_client_io_ && options_.l0_layout == L0Layout::kSstable;
-  if (!answered) {
+  if (!answered && tables != nullptr) {
     ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
-    for (const auto& table : unsorted) {
+    for (const auto& table : tables->unsorted) {
       bool found = false;
       Status s = L0TableGet(*table, icmp_, lkey, &local_value, &found,
                             &probe_status, &probe);
@@ -2401,10 +2388,10 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       }
     }
   }
-  if (!answered && !sorted.empty()) {
+  if (!answered && tables != nullptr && !tables->sorted_run.empty()) {
     ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
     bool found = false;
-    Status s = RunGet(sorted, icmp_, lkey, &local_value, &found,
+    Status s = RunGet(tables->sorted_run, icmp_, lkey, &local_value, &found,
                       &probe_status, &probe);
     if (!s.ok()) {
       mem->Unref();
@@ -2417,14 +2404,14 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       result = probe_status;
     }
   }
-  if (!answered && !ssd_runs.empty()) {
+  if (!answered && tables != nullptr && !tables->ssd_runs.empty()) {
     // SSD runs always live on the SSD; probe newest-first — the first run
     // holding any version of the key is authoritative.
     ScopedExternalIo io(track_client_io_ ? model_ : nullptr, IoClass::kClient);
-    for (const auto& run : ssd_runs) {
+    for (const SsdRun& run : tables->ssd_runs) {
       bool found = false;
-      Status s = RunGet(run, icmp_, lkey, &local_value, &found, &probe_status,
-                        &probe);
+      Status s = RunGet(run.tables, icmp_, lkey, &local_value, &found,
+                        &probe_status, &probe);
       if (!s.ok()) {
         mem->Unref();
         if (imm != nullptr) imm->Unref();
@@ -2470,19 +2457,10 @@ std::vector<Iterator*> DBImpl::CollectInternalIterators() {
   std::vector<Iterator*> children;
   children.push_back(mem_->NewIterator());
   if (imm_ != nullptr) children.push_back(imm_->NewIterator());
-  std::vector<PartitionSnapshot> parts;
+  std::vector<std::shared_ptr<const PartitionSnapshot>> parts;
   parts.reserve(partitions_.size());
   for (const auto& partition : partitions_) {
-    PartitionSnapshot snap;
-    snap.begin_key = partition->begin_key();
-    snap.end_key = partition->end_key();
-    snap.unsorted = partition->unsorted();
-    snap.sorted_run = partition->sorted_run();
-    snap.ssd_runs.reserve(partition->ssd_runs().size());
-    for (const SsdRun& run : partition->ssd_runs()) {
-      snap.ssd_runs.push_back(run.tables);
-    }
-    parts.push_back(std::move(snap));
+    parts.push_back(partition->current());
   }
   children.push_back(NewPartitionConcatIterator(&icmp_, std::move(parts)));
   return children;
@@ -2539,15 +2517,15 @@ void DBImpl::LevelShapeLocked(uint32_t level, uint64_t* runs, uint64_t* files,
                               uint64_t* bytes) const {
   *runs = *files = *bytes = 0;
   for (const auto& partition : partitions_) {
+    const PartitionSnapshot& tables = *partition->current();
     if (level == 0) {
       // PM level-0: each unsorted table is its own (single-table) run, the
       // sorted run is one more.
-      *runs += partition->unsorted().size() +
-               (partition->sorted_run().empty() ? 0 : 1);
-      *files += partition->unsorted().size() + partition->sorted_run().size();
-      *bytes += partition->L0Bytes();
+      *runs += tables.unsorted.size() + (tables.sorted_run.empty() ? 0 : 1);
+      *files += tables.unsorted.size() + tables.sorted_run.size();
+      *bytes += tables.L0Bytes();
     } else {
-      for (const SsdRun& run : partition->ssd_runs()) {
+      for (const SsdRun& run : tables.ssd_runs) {
         if (run.level != level) continue;
         *runs += 1;
         *files += run.tables.size();

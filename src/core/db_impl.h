@@ -16,22 +16,24 @@
 //     Eq. 1/2/3 compaction triggers to the compaction scheduler.
 //   * Algorithm 1 (internal + major compaction) runs on the DEDICATED
 //     CompactionScheduler pool (Options::compaction_workers threads; 1 by
-//     default), never on the flush thread: a check snapshots partition
-//     table refs and counters under a short mu_ hold, runs the merge and
-//     all simulated-SSD I/O with the mutex released, and re-acquires mu_
-//     only for the install + PersistManifest step. With N workers, several
-//     checks execute concurrently under the per-partition CLAIM protocol:
-//     a check claims (in compacting_, under mu_) every partition it will
-//     compact — its dirty set plus any extra major-compaction victims — and
-//     skips partitions another check holds, so no two workers ever mutate
-//     the same partition's runs. Claims are released (and skipped work is
+//     default), never on the flush thread: a check takes each partition's
+//     current table set and counters under a short mu_ hold, runs the
+//     merge and all simulated-SSD I/O with the mutex released, and
+//     re-acquires mu_ only for the install + PersistManifest step. With N
+//     workers, several checks execute concurrently under the per-partition
+//     CLAIM protocol: a check claims (in compacting_, under mu_) every
+//     partition it will compact — its dirty set plus any extra
+//     major-compaction victims — and skips partitions another check holds,
+//     so no two workers ever mutate the same partition's runs. Claims are released (and skipped work is
 //     re-scheduled) when the check finishes. Manual compactions
 //     (CompactLevel0/CompactToLevel1) funnel through RunExclusive, a
 //     pool-wide barrier, so they observe quiesced partitions without
 //     claiming. Only a claim-holding check (or an exclusive manual job)
-//     removes tables from a partition; the flush thread only prepends — see
-//     the ref discipline notes in partition.h.
-//   * Readers grab {mem, imm, partition table refs, snapshot} under a brief
+//     removes tables from a partition; the flush thread only prepends.
+//   * Each partition publishes one immutable table set: every change copies
+//     Partition::current() under mu_, edits the copy and Install()s it (the
+//     publish rule in partition.h).
+//   * Readers grab {mem, imm, table-set pointers, snapshot} under a brief
 //     mutex hold and probe everything lock-free afterwards, so neither a
 //     flush nor a compaction in flight ever blocks a Get past that grab.
 //   * The major-compaction engine additionally parallelizes internally with
@@ -267,7 +269,7 @@ class DBImpl final : public DB {
   /// A picker-chosen CompactionJob resolved to its partition. Fields mirror
   /// CompactionJob (see compaction/policy/compaction_picker.h); run indices
   /// are valid from the pick through the install because the executor holds
-  /// the partition's claim and only the claim holder mutates ssd_runs().
+  /// the partition's claim and only the claim holder edits the SSD stack.
   struct MajorJob {
     Partition* partition = nullptr;
     bool include_l0 = true;

@@ -1,5 +1,6 @@
 // Partition: one key-range shard of the partitioned LSM-tree (Section III).
-// A partition owns:
+// A partition publishes one immutable table set (PartitionSnapshot in
+// version.h):
 //   * a list of UNSORTED level-0 tables (newest first, mutually
 //     overlapping — flushed memtable segments),
 //   * one SORTED level-0 run (non-overlapping tables, the output of the
@@ -8,9 +9,9 @@
 //     SSTables tagged with a compaction-policy level). The leveled policy
 //     keeps at most one run, tagged level 1 — the paper's single level-1
 //     run; tiered / lazy-leveling policies stack several runs whose level
-//     tags are non-decreasing with depth,
-//   * the counters the cost models consume (n_i, n_i^r, n_i^w, n_i^u,
-//     reads/sec), reset whenever the partition is compacted.
+//     tags are non-decreasing with depth.
+// It also owns the counters the cost models consume (n_i, n_i^r, n_i^w,
+// n_i^u, reads/sec), reset whenever the partition is compacted.
 
 #ifndef PMBLADE_CORE_PARTITION_H_
 #define PMBLADE_CORE_PARTITION_H_
@@ -22,24 +23,12 @@
 #include <vector>
 
 #include "compaction/cost_model.h"
+#include "core/version.h"
 #include "memtable/internal_key.h"
 #include "pmtable/l0_table.h"
 #include "util/clock.h"
 
 namespace pmblade {
-
-/// One sorted run of SSD SSTables (ascending key order) plus its policy
-/// level tag. Level 0 is the PM side; SSD runs start at level 1.
-struct SsdRun {
-  uint32_t level = 1;
-  std::vector<L0TableRef> tables;  // ascending key order
-
-  uint64_t bytes() const {
-    uint64_t total = 0;
-    for (const auto& table : tables) total += table->size_bytes();
-    return total;
-  }
-};
 
 class Partition {
  public:
@@ -47,7 +36,10 @@ class Partition {
   /// empty end = +inf.
   Partition(uint64_t id, std::string begin, std::string end, Clock* clock)
       : id_(id), begin_(std::move(begin)), end_(std::move(end)),
-        clock_(clock), counter_epoch_nanos_(clock->NowNanos()) {}
+        clock_(clock),
+        current_(std::make_shared<const PartitionSnapshot>(
+            PartitionSnapshot{begin_, end_, {}, {}, {}})),
+        counter_epoch_nanos_(clock->NowNanos()) {}
 
   uint64_t id() const { return id_; }
   const std::string& begin_key() const { return begin_; }
@@ -60,31 +52,31 @@ class Partition {
   }
 
   // ---- table sets ----
-  // Ref discipline with a background compaction in flight (every access to
-  // the vectors themselves happens under the DB mutex):
-  //   * Readers copy the ref vectors under the mutex and probe lock-free;
-  //     the deferred L0Table::Destroy (storage freed at last ref drop)
-  //     keeps those copies valid across any concurrent install.
-  //   * The flush thread only PREPENDS to unsorted() (newest first).
-  //   * Only the compaction worker that CLAIMED this partition (see the
-  //     claim protocol in db_impl.h — at most one claimant per partition,
-  //     enforced under the DB mutex) removes from unsorted() or mutates
-  //     sorted_run()/ssd_runs(). A compaction therefore snapshots the
-  //     vectors, merges with the mutex released, and installs by removing
-  //     exactly the snapshotted refs (RemoveTables) — tables flushed during
-  //     the merge stay, still newest-first, above the compaction's output.
-  std::vector<L0TableRef>& unsorted() { return unsorted_; }
-  std::vector<L0TableRef>& sorted_run() { return sorted_run_; }
-  std::vector<SsdRun>& ssd_runs() { return ssd_runs_; }
-  const std::vector<L0TableRef>& unsorted() const { return unsorted_; }
-  const std::vector<L0TableRef>& sorted_run() const { return sorted_run_; }
-  const std::vector<SsdRun>& ssd_runs() const { return ssd_runs_; }
+  // Publish rule: current() and Install() are called under the DB mutex,
+  // and a published set is never edited in place.
+  //   * Readers copy the current() pointer and probe lock-free; the
+  //     deferred L0Table::Destroy (storage freed at last ref drop) keeps a
+  //     held set's tables valid across later installs.
+  //   * Every change (flush, recovery, compaction install) copies
+  //     *current(), edits the copy and Install()s it.
+  //   * A compaction merges `before = current()` with the mutex released,
+  //     then edits a copy of the current() of install time, not of
+  //     `before`: a flush may have prepended tables meanwhile, and they stay
+  //     above the output. RemoveTables drops exactly `before`'s inputs.
+  //     Only the worker that CLAIMED the partition (db_impl.h) removes
+  //     tables or edits the sorted run and SSD stack.
+  const std::shared_ptr<const PartitionSnapshot>& current() const {
+    return current_;
+  }
+  void Install(std::shared_ptr<const PartitionSnapshot> next) {
+    current_ = std::move(next);
+  }
 
   /// Removes exactly the tables in `snapshot` (by table identity) from
   /// `from`, preserving the order of everything else. Install step of a
-  /// compaction whose inputs were snapshotted before the mutex was
-  /// released; entries that arrived since (flushed tables at the front of
-  /// unsorted()) are untouched. Caller holds the DB mutex.
+  /// compaction: `from` is a copy of the current set, `snapshot` the
+  /// compaction's inputs; tables that arrived since (flushed tables at the
+  /// front of unsorted) are untouched.
   static void RemoveTables(std::vector<L0TableRef>* from,
                            const std::vector<L0TableRef>& snapshot) {
     from->erase(std::remove_if(from->begin(), from->end(),
@@ -95,27 +87,6 @@ class Partition {
                                  return false;
                                }),
                 from->end());
-  }
-
-  /// Total level-0 bytes (s_i).
-  uint64_t L0Bytes() const {
-    uint64_t total = 0;
-    for (const auto& table : unsorted_) total += table->size_bytes();
-    for (const auto& table : sorted_run_) total += table->size_bytes();
-    return total;
-  }
-  /// Total SSD bytes across every run in the stack. (Under the leveled
-  /// policy the stack is at most one level-1 run, so this is the paper's
-  /// level-1 size.)
-  uint64_t SsdBytes() const {
-    uint64_t total = 0;
-    for (const auto& run : ssd_runs_) total += run.bytes();
-    return total;
-  }
-
-  /// The deepest level tag in the run stack (0 when no SSD runs exist).
-  uint32_t MaxSsdLevel() const {
-    return ssd_runs_.empty() ? 0 : ssd_runs_.back().level;
   }
 
   // ---- cost-model counters ----
@@ -132,9 +103,10 @@ class Partition {
   PartitionCounters Counters() const {
     PartitionCounters counters;
     counters.partition_id = id_;
-    counters.unsorted_tables = static_cast<uint32_t>(unsorted_.size());
-    counters.sorted_tables = static_cast<uint32_t>(sorted_run_.size());
-    counters.size_bytes = L0Bytes();
+    counters.unsorted_tables =
+        static_cast<uint32_t>(current_->unsorted.size());
+    counters.sorted_tables = static_cast<uint32_t>(current_->sorted_run.size());
+    counters.size_bytes = current_->L0Bytes();
     counters.reads = reads_.load(std::memory_order_relaxed);
     counters.writes = writes_.load(std::memory_order_relaxed);
     counters.updates = updates_.load(std::memory_order_relaxed);
@@ -160,10 +132,8 @@ class Partition {
   std::string end_;
   Clock* clock_;
 
-  std::vector<L0TableRef> unsorted_;   // newest first
-  std::vector<L0TableRef> sorted_run_; // ascending key order
-  /// SSD run stack, newest first; level tags non-decreasing with depth.
-  std::vector<SsdRun> ssd_runs_;
+  /// The published table set; guarded by the DB mutex.
+  std::shared_ptr<const PartitionSnapshot> current_;
 
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};

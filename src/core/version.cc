@@ -114,8 +114,9 @@ namespace {
 /// partition's tables only while the cursor is inside it.
 class PartitionConcatIterator final : public Iterator {
  public:
-  PartitionConcatIterator(const InternalKeyComparator* icmp,
-                          std::vector<PartitionSnapshot> parts)
+  PartitionConcatIterator(
+      const InternalKeyComparator* icmp,
+      std::vector<std::shared_ptr<const PartitionSnapshot>> parts)
       : icmp_(icmp), parts_(std::move(parts)) {}
 
   bool Valid() const override {
@@ -150,7 +151,7 @@ class PartitionConcatIterator final : public Iterator {
     size_t lo = 0, hi = parts_.size();
     while (lo < hi) {
       size_t mid = (lo + hi) / 2;
-      const std::string& end = parts_[mid].end_key;
+      const std::string& end = parts_[mid]->end_key;
       if (!end.empty() && user.compare(Slice(end)) >= 0) {
         lo = mid + 1;
       } else {
@@ -179,7 +180,7 @@ class PartitionConcatIterator final : public Iterator {
       current_.reset();
       return;
     }
-    const PartitionSnapshot& part = parts_[index_];
+    const PartitionSnapshot& part = *parts_[index_];
     std::vector<Iterator*> children;
     children.reserve(part.unsorted.size() + part.ssd_runs.size() + 1);
     for (const auto& table : part.unsorted) {
@@ -189,8 +190,8 @@ class PartitionConcatIterator final : public Iterator {
       children.push_back(NewRunIterator(icmp_, part.sorted_run));
     }
     for (const auto& run : part.ssd_runs) {
-      if (!run.empty()) {
-        children.push_back(NewRunIterator(icmp_, run));
+      if (!run.tables.empty()) {
+        children.push_back(NewRunIterator(icmp_, run.tables));
       }
     }
     if (children.empty()) {
@@ -235,7 +236,7 @@ class PartitionConcatIterator final : public Iterator {
   }
 
   const InternalKeyComparator* icmp_;
-  std::vector<PartitionSnapshot> parts_;
+  std::vector<std::shared_ptr<const PartitionSnapshot>> parts_;
   size_t index_ = 0;
   std::unique_ptr<Iterator> current_;
   Status status_;
@@ -243,8 +244,9 @@ class PartitionConcatIterator final : public Iterator {
 
 }  // namespace
 
-Iterator* NewPartitionConcatIterator(const InternalKeyComparator* icmp,
-                                     std::vector<PartitionSnapshot> parts) {
+Iterator* NewPartitionConcatIterator(
+    const InternalKeyComparator* icmp,
+    std::vector<std::shared_ptr<const PartitionSnapshot>> parts) {
   return new PartitionConcatIterator(icmp, std::move(parts));
 }
 
@@ -274,7 +276,17 @@ Status RunGet(const std::vector<L0TableRef>& run,
     }
   }
   if (lo == run.size()) return Status::OK();
-  return L0TableGet(*run[lo], icmp, lkey, value, found, result_status, probe);
+  Status s =
+      L0TableGet(*run[lo], icmp, lkey, value, found, result_status, probe);
+  // Output tables are cut by size, not at user-key boundaries, so under a
+  // live snapshot one key's older versions may continue in the next tables.
+  while (s.ok() && !*found && lo + 1 < run.size() &&
+         ucmp->Compare(ExtractUserKey(run[lo + 1]->smallest()),
+                       lkey.user_key()) == 0) {
+    ++lo;
+    s = L0TableGet(*run[lo], icmp, lkey, value, found, result_status, probe);
+  }
+  return s;
 }
 
 }  // namespace pmblade

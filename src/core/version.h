@@ -1,10 +1,11 @@
-// Version helpers: iterators over table runs and read-path lookups shared by
-// the DB implementation.
+// Version: a partition's immutable table set plus the iterators over table
+// runs and read-path lookups shared by the DB implementation.
 
 #ifndef PMBLADE_CORE_VERSION_H_
 #define PMBLADE_CORE_VERSION_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "memtable/internal_key.h"
@@ -20,31 +21,67 @@ namespace pmblade {
 Iterator* NewRunIterator(const InternalKeyComparator* icmp,
                          std::vector<L0TableRef> run);
 
-/// Point lookup in a run: picks the single candidate table by boundary
-/// binary search. Same out-parameters as L0TableGet (including the optional
-/// bloom probe accounting).
+/// Point lookup in a run: picks the candidate table by boundary binary
+/// search, then the following tables while they start with the same user
+/// key. Same out-parameters as L0TableGet (including the optional bloom
+/// probe accounting).
 Status RunGet(const std::vector<L0TableRef>& run,
               const InternalKeyComparator& icmp, const LookupKey& lkey,
               std::string* value, bool* found, Status* result_status,
               ReadProbeStats* probe = nullptr);
 
-/// A snapshot of one partition's table sets, taken under the DB mutex so
-/// iterators survive version changes.
+/// One sorted run of SSD SSTables (ascending key order) plus its policy
+/// level tag. Level 0 is the PM side; SSD runs start at level 1.
+struct SsdRun {
+  uint32_t level = 1;
+  std::vector<L0TableRef> tables;  // ascending key order
+
+  uint64_t bytes() const {
+    uint64_t total = 0;
+    for (const auto& table : tables) total += table->size_bytes();
+    return total;
+  }
+};
+
+/// One partition's table set as published by Partition::Install. A
+/// published set is immutable: readers and compactions hold it by
+/// shared_ptr and probe it without the DB mutex, and a change publishes an
+/// edited copy instead (see partition.h).
 struct PartitionSnapshot {
   std::string begin_key;  // user keys; empty = unbounded
   std::string end_key;
   std::vector<L0TableRef> unsorted;  // newest first
   std::vector<L0TableRef> sorted_run;
-  /// SSD runs, newest first (one table vector per run; the level tags are
-  /// irrelevant to the read path).
-  std::vector<std::vector<L0TableRef>> ssd_runs;
+  /// SSD run stack, newest first; level tags non-decreasing with depth.
+  std::vector<SsdRun> ssd_runs;
+
+  /// Total level-0 bytes (s_i).
+  uint64_t L0Bytes() const {
+    uint64_t total = 0;
+    for (const auto& table : unsorted) total += table->size_bytes();
+    for (const auto& table : sorted_run) total += table->size_bytes();
+    return total;
+  }
+  /// Total SSD bytes across every run in the stack. (Under the leveled
+  /// policy the stack is at most one level-1 run, so this is the paper's
+  /// level-1 size.)
+  uint64_t SsdBytes() const {
+    uint64_t total = 0;
+    for (const auto& run : ssd_runs) total += run.bytes();
+    return total;
+  }
+  /// The deepest level tag in the run stack (0 when no SSD runs exist).
+  uint32_t MaxSsdLevel() const {
+    return ssd_runs.empty() ? 0 : ssd_runs.back().level;
+  }
 };
 
 /// Lazy concatenating iterator over range-disjoint partitions: only the
 /// partition under the cursor has its tables open, so a Seek costs one
 /// partition's worth of child seeks instead of the whole database's.
-Iterator* NewPartitionConcatIterator(const InternalKeyComparator* icmp,
-                                     std::vector<PartitionSnapshot> parts);
+Iterator* NewPartitionConcatIterator(
+    const InternalKeyComparator* icmp,
+    std::vector<std::shared_ptr<const PartitionSnapshot>> parts);
 
 /// Wraps a merged internal-key iterator into the user-visible view at
 /// `snapshot`: hides newer-than-snapshot entries, surfaces only the newest

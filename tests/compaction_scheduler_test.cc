@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -780,6 +781,77 @@ TEST_F(CompactionSchedulingTest, PoisonedPartitionDoesNotParkSiblings) {
   EXPECT_GT(Prop(db_.get(), "pmblade.l1-bytes"), l1_sibling);
   EXPECT_TRUE(db_->Get(ReadOptions(), "a0", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "b0", &got).ok());
+}
+
+// A compaction installs onto the partition's CURRENT table set, not onto
+// the one it merged: a flush that lands while the merge runs must survive
+// the install, and its newer versions must keep shadowing the merged ones.
+// Pins the compaction at `pin_point`, flushes new keys plus an overwrite
+// into the same partition, then releases it.
+void ExpectInstallKeepsConcurrentFlush(DB* db, const char* pin_point,
+                                       const std::function<Status()>& compact) {
+  const std::string value(100, 'v');
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), "a" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  std::atomic<bool> pin_armed{true}, pinned{false}, release{false};
+  auto* sp = SyncPoint::GetInstance();
+  sp->SetCallBack(pin_point, [&](void*) {
+    if (!pin_armed.exchange(false)) return;
+    pinned.store(true);
+    while (!release.load()) SleepMs(1);
+  });
+  sp->EnableProcessing();
+  Status compact_status;
+  std::thread compactor([&] { compact_status = compact(); });
+  while (!pinned.load()) SleepMs(1);
+
+  // Written before the memtable rotates, so they land in the flushed table.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), "n" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db->Put(WriteOptions(), "a1", "newer").ok());
+  const uint64_t flushes = Prop(db, "pmblade.flush.bg_flushes");
+  for (int i = 0; Prop(db, "pmblade.flush.bg_flushes") == flushes; ++i) {
+    ASSERT_LT(i, 1000) << "the memtable never rotated";
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), "z" + std::to_string(i), value).ok());
+  }
+
+  release.store(true);
+  compactor.join();
+  sp->DisableProcessing();
+  ASSERT_TRUE(compact_status.ok()) << compact_status.ToString();
+
+  std::string got;
+  for (int i = 0; i < 8; ++i) {
+    const std::string key = "n" + std::to_string(i);
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+    EXPECT_EQ(got, value);
+  }
+  ASSERT_TRUE(db->Get(ReadOptions(), "a1", &got).ok());
+  EXPECT_EQ(got, "newer");
+  ASSERT_TRUE(db->Get(ReadOptions(), "a2", &got).ok());
+  EXPECT_EQ(got, value);
+}
+
+TEST_F(CompactionSchedulingTest, InternalCompactionInstallKeepsFlushedTables) {
+  options_.l0_table_trigger = 100;  // only the manual compaction runs
+  Open();
+  ExpectInstallKeepsConcurrentFlush(
+      db_.get(), "DBImpl::InternalCompaction:Outputs",
+      [this] { return db_->CompactLevel0(); });
+}
+
+TEST_F(CompactionSchedulingTest, MajorCompactionInstallKeepsFlushedTables) {
+  options_.l0_table_trigger = 100;  // only the manual compaction runs
+  Open();
+  ExpectInstallKeepsConcurrentFlush(
+      db_.get(), "DBImpl::MajorCompaction:AfterRun",
+      [this] { return db_->CompactToLevel1(false); });
+  EXPECT_GT(Prop(db_.get(), "pmblade.l1-bytes"), 0u);
 }
 
 #endif  // PMBLADE_SYNC_POINTS

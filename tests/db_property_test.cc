@@ -214,6 +214,17 @@ class PartitionConcatTest : public ::testing::Test {
     return t;
   }
 
+  /// Publishes each table set the way Partition::Install does.
+  static std::vector<std::shared_ptr<const PartitionSnapshot>> Publish(
+      std::vector<PartitionSnapshot> parts) {
+    std::vector<std::shared_ptr<const PartitionSnapshot>> published;
+    for (auto& part : parts) {
+      published.push_back(
+          std::make_shared<const PartitionSnapshot>(std::move(part)));
+    }
+    return published;
+  }
+
   std::string path_;
   std::unique_ptr<PmPool> pool_;
   InternalKeyComparator icmp_{BytewiseComparator()};
@@ -227,10 +238,10 @@ TEST_F(PartitionConcatTest, WalksAcrossPartitionsInOrder) {
   parts[1].end_key = "p";
   parts[1].sorted_run.push_back(Build({"kiwi", "mango"}, 10));
   parts[2].begin_key = "p";
-  parts[2].ssd_runs.push_back({Build({"pear", "plum"}, 10)});
+  parts[2].ssd_runs.push_back({1, {Build({"pear", "plum"}, 10)}});
 
   std::unique_ptr<Iterator> it(
-      NewPartitionConcatIterator(&icmp_, parts));
+      NewPartitionConcatIterator(&icmp_, Publish(parts)));
   std::vector<std::string> forward;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     forward.push_back(ExtractUserKey(it->key()).ToString());
@@ -257,7 +268,7 @@ TEST_F(PartitionConcatTest, SeekLandsInRightPartition) {
   parts[2].unsorted.push_back(Build({"plum"}, 10));
 
   std::unique_ptr<Iterator> it(
-      NewPartitionConcatIterator(&icmp_, parts));
+      NewPartitionConcatIterator(&icmp_, Publish(parts)));
   std::string seek;
   AppendInternalKey(&seek, "j", kMaxSequenceNumber, kValueTypeForSeek);
   it->Seek(seek);
@@ -272,7 +283,7 @@ TEST_F(PartitionConcatTest, SeekLandsInRightPartition) {
   sparse[1].end_key = "p";  // empty partition
   sparse[2].begin_key = "p";
   sparse[2].unsorted.push_back(Build({"plum"}, 10));
-  it.reset(NewPartitionConcatIterator(&icmp_, sparse));
+  it.reset(NewPartitionConcatIterator(&icmp_, Publish(sparse)));
   it->Seek(seek);
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ(ExtractUserKey(it->key()).ToString(), "plum");

@@ -1,9 +1,10 @@
-// Read-path acceleration tests: bloom filters must never produce a false
-// negative across flush, internal compaction, major compaction and reopen
-// (for every level-0 layout), absent-key probes must register bloom
-// negatives, and the block cache's charge accounting must match its
-// capacity through inserts, evictions and arbiter-style SetCapacity
-// shrinks.
+// Read-path tests: bloom filters must never produce a false negative
+// across flush, internal compaction, major compaction and reopen (for every
+// level-0 layout), absent-key probes must register bloom negatives, a
+// snapshot Get must find a key whose versions span two tables of a run, a
+// fixed read sequence must charge exactly its pinned modeled PM/SSD cost,
+// and the block cache's charge accounting must match its capacity through
+// inserts, evictions and arbiter-style SetCapacity shrinks.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "env/sim_env.h"
+#include "env/ssd_model.h"
 #include "sstable/block.h"
 #include "sstable/block_cache.h"
 #include "sstable/format.h"
@@ -144,6 +147,49 @@ TEST_P(ReadPathTest, FiltersDisabledStillCorrect) {
   EXPECT_TRUE(db_->Get(ReadOptions(), "absent", &value).IsNotFound());
 }
 
+// Under a live snapshot internal compaction keeps a key's older versions,
+// and it cuts output tables by byte count, not at user-key boundaries: one
+// key's versions can then span two tables of the sorted run. A snapshot Get
+// must reach the older table instead of stopping at the first table whose
+// largest user key covers the key.
+TEST_P(ReadPathTest, SnapshotGetSeesVersionsSplitAcrossRunTables) {
+  options_.internal_table_target_bytes = 1;  // one record per output table
+  for (bool older_on_ssd : {false, true}) {
+    SCOPED_TRACE(older_on_ssd ? "older version on SSD" : "level-0 only");
+    Open();
+    if (older_on_ssd) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), "k", "ssd-v0").ok());
+      ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+    }
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", "old").ok());
+    const uint64_t snapshot = db_->GetSnapshot();
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", "new").ok());
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+    ASSERT_TRUE(db_->CompactLevel0().ok());
+
+    ReadOptions at_snapshot;
+    at_snapshot.snapshot = snapshot;
+    std::string value;
+    Status s = db_->Get(at_snapshot, "k", &value);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(value, "old");
+    ASSERT_TRUE(db_->Get(ReadOptions(), "k", &value).ok());
+    EXPECT_EQ(value, "new");
+
+    // The iterator at the same snapshot agrees with the point lookup.
+    std::unique_ptr<Iterator> it(db_->NewIterator(at_snapshot));
+    it->Seek("k");
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key().ToString(), "k");
+    EXPECT_EQ(it->value().ToString(), "old");
+    it.reset();
+
+    db_->ReleaseSnapshot(snapshot);
+    db_.reset();
+    DestroyDB(options_, dbname_);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Layouts, ReadPathTest,
                          ::testing::Values(L0Layout::kPmTable,
                                            L0Layout::kArrayTable,
@@ -164,6 +210,98 @@ INSTANTIATE_TEST_SUITE_P(Layouts, ReadPathTest,
                            }
                            return "Unknown";
                          });
+
+// -- Modeled device cost of a fixed read sequence ---------------------------
+
+// The PM and SSD charges are the paper's cost model; a read-path refactor
+// must not move them. A settled DB holds one SSD run, a PM sorted run and a
+// PM unsorted table in each of three partitions; a fixed single-threaded
+// sequence of Gets and scans must charge exactly the pinned figures.
+TEST(ReadPathCostTest, FixedReadSequenceChargesPinnedDeviceCost) {
+  const std::string dbname =
+      ::testing::TempDir() + "pmblade_read_path_cost_test";
+  SsdModelOptions model_options;
+  model_options.inject_latency = false;
+  SsdModel model(model_options);
+  SimEnv sim(PosixEnv(), &model);
+  Options options;
+  options.env = &sim;
+  options.ssd_model = &model;
+  options.block_cache_bytes = 0;  // every SSD block read reaches the model
+  options.memtable_bytes = 64 << 10;
+  options.pm_pool_capacity = 64 << 20;
+  options.pm_latency.inject_latency = false;
+  options.partition_boundaries = {"key3", "key6"};
+  options.enable_cost_model = false;  // no background compaction picks
+  options.l0_table_trigger = 1000;
+  DestroyDB(options, dbname);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+
+  auto key = [](int i) { return "key" + std::to_string(i); };
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), key(i), "ssd" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_TRUE(db->CompactToLevel1(false).ok());
+  for (int i = 0; i < 600; i += 3) {
+    ASSERT_TRUE(db->Put(WriteOptions(), key(i), "sorted").ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  ASSERT_TRUE(db->CompactLevel0().ok());
+  for (int i = 0; i < 700; i += 5) {
+    ASSERT_TRUE(db->Put(WriteOptions(), key(i), "unsorted").ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  const std::vector<std::string> metrics = {
+      "pmblade.pm.bytes_read", "pmblade.pm.read_accesses",
+      "pmblade.ssd.bytes_read", "pmblade.ssd.reads", "pmblade.bloom.checks"};
+  auto read_all = [&] {
+    std::vector<uint64_t> values;
+    for (const auto& name : metrics) {
+      uint64_t v = 0;
+      EXPECT_TRUE(db->GetProperty(name, &v)) << name;
+      values.push_back(v);
+    }
+    return values;
+  };
+  const std::vector<uint64_t> before = read_all();
+
+  int found = 0;
+  for (int i = 0; i < 700; i += 7) {
+    std::string value;
+    Status s = db->Get(ReadOptions(), key(i), &value);
+    ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+    if (s.ok()) ++found;
+  }
+  for (int i = 0; i < 60; ++i) {  // absent keys inside the loaded range
+    std::string value;
+    EXPECT_TRUE(
+        db->Get(ReadOptions(), key(i) + "0z", &value).IsNotFound());
+  }
+  int scanned = 0;
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  for (const char* start : {"key1", "key45", "key599"}) {
+    it->Seek(start);
+    for (int n = 0; n < 50 && it->Valid(); ++n, it->Next()) ++scanned;
+  }
+  for (it->SeekToLast(); it->Valid(); it->Prev()) ++scanned;
+  ASSERT_TRUE(it->status().ok());
+  it.reset();
+
+  const std::vector<uint64_t> after = read_all();
+  std::vector<uint64_t> delta;
+  for (size_t m = 0; m < metrics.size(); ++m) {
+    delta.push_back(after[m] - before[m]);
+  }
+  EXPECT_EQ(found, 88);
+  EXPECT_EQ(scanned, 770);
+  EXPECT_EQ(delta, (std::vector<uint64_t>{25544, 203, 177822, 55, 416}));
+
+  db.reset();
+  DestroyDB(options, dbname);
+}
 
 // -- Block cache charge accounting -----------------------------------------
 

@@ -1,7 +1,12 @@
-// Tests for the version helpers (run iterator, run point lookup), Options
-// sanitization and DB statistics accounting.
+// Tests for the version helpers (run iterator, run point lookup, including
+// a key whose versions span tables), Options sanitization and DB statistics
+// accounting.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/options.h"
 #include "core/statistics.h"
@@ -109,6 +114,41 @@ TEST_F(RunTest, RunGetFindsCorrectTable) {
   EXPECT_FALSE(found);
   // Empty run.
   ASSERT_TRUE(RunGet({}, icmp_, lkey, &value, &found, &result).ok());
+  EXPECT_FALSE(found);
+}
+
+// Output tables are cut by size, not at user-key boundaries, so one key's
+// versions can span several tables of a run; a snapshot lookup must walk on
+// to the table holding its visible version.
+TEST_F(RunTest, RunGetFollowsVersionsAcrossTables) {
+  auto version = [this](SequenceNumber seq) -> L0TableRef {
+    PmTableBuilder builder(pool_.get(), PmTableOptions{});
+    std::string ikey;
+    AppendInternalKey(&ikey, "key00005", seq, kTypeValue);
+    builder.Add(ikey, "v@" + std::to_string(seq));
+    std::shared_ptr<PmTable> t;
+    EXPECT_TRUE(builder.Finish(&t).ok());
+    return t;
+  };
+  std::vector<L0TableRef> run = {Build(0, 5), version(30), version(20),
+                                 version(10), Build(6, 9)};
+  for (auto [snapshot, want] :
+       std::vector<std::pair<SequenceNumber, std::string>>{
+           {kMaxSequenceNumber, "v@30"}, {25, "v@20"}, {15, "v@10"}}) {
+    LookupKey lkey("key00005", snapshot);
+    std::string value;
+    bool found = false;
+    Status result;
+    ASSERT_TRUE(RunGet(run, icmp_, lkey, &value, &found, &result).ok());
+    ASSERT_TRUE(found) << snapshot;
+    EXPECT_EQ(value, want);
+  }
+  // Older than every version: the walk stops at the next key's table.
+  LookupKey too_old("key00005", 5);
+  std::string value;
+  bool found = true;
+  Status result;
+  ASSERT_TRUE(RunGet(run, icmp_, too_old, &value, &found, &result).ok());
   EXPECT_FALSE(found);
 }
 
