@@ -116,7 +116,8 @@ class DBImpl final : public DB {
   };
 
   /// Phase 1: append + fsync a kPrepare record carrying `batch` and buffer
-  /// it. Goes through the writer queue as its own commit group.
+  /// it. Goes through the writer queue as its own commit group. A prepare
+  /// always syncs, so `options` is not consulted.
   Status PrepareTxn(const WriteOptions& options, uint64_t txn_id,
                     const std::vector<uint32_t>& participants,
                     WriteBatch* batch);
@@ -199,7 +200,7 @@ class DBImpl final : public DB {
   };
 
   /// Shared queue-join + leader dispatch behind Write and the txn ops.
-  Status WriteInternal(const WriteOptions& options, WriterState& w);
+  Status WriteInternal(WriterState& w);
   /// Leader-only: executes the leader's txn op plus every txn op queued
   /// directly behind it as ONE commit group — a single WAL append run and
   /// at most one shared fsync (the txn mirror of BuildBatchGroup). Enters

@@ -38,6 +38,30 @@ void L0Table::BuildFilter(const BloomFilterPolicy* policy) {
   InstallFilter(policy, std::move(filter));
 }
 
+Status L0Table::Get(const LookupKey& lkey, std::string* value, bool* found,
+                    Status* result_status) const {
+  *found = false;
+  std::unique_ptr<Iterator> it(NewIterator());
+  it->Seek(lkey.internal_key());
+  if (!it->Valid()) return it->status();
+
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(it->key(), &parsed)) {
+    return Status::Corruption("l0 table: malformed internal key");
+  }
+  if (parsed.user_key != lkey.user_key()) {
+    return it->status();  // different user key: not present here
+  }
+  *found = true;
+  if (parsed.type == kTypeDeletion) {
+    *result_status = Status::NotFound();
+  } else {
+    value->assign(it->value().data(), it->value().size());
+    *result_status = Status::OK();
+  }
+  return it->status();
+}
+
 Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
                   const LookupKey& lkey, std::string* value, bool* found,
                   Status* result_status, ReadProbeStats* probe) {
@@ -61,29 +85,11 @@ Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
     }
   }
 
-  std::unique_ptr<Iterator> it(table.NewIterator());
-  it->Seek(lkey.internal_key());
-  if (!it->Valid()) {
-    if (filtered && probe != nullptr) ++probe->bloom_false_positives;
-    return it->status();
+  Status s = table.Get(lkey, value, found, result_status);
+  if (!*found && filtered && probe != nullptr) {
+    ++probe->bloom_false_positives;
   }
-
-  ParsedInternalKey parsed;
-  if (!ParseInternalKey(it->key(), &parsed)) {
-    return Status::Corruption("l0 table: malformed internal key");
-  }
-  if (ucmp->Compare(parsed.user_key, lkey.user_key()) != 0) {
-    if (filtered && probe != nullptr) ++probe->bloom_false_positives;
-    return it->status();  // different user key: not present here
-  }
-  *found = true;
-  if (parsed.type == kTypeDeletion) {
-    *result_status = Status::NotFound();
-  } else {
-    value->assign(it->value().data(), it->value().size());
-    *result_status = Status::OK();
-  }
-  return it->status();
+  return s;
 }
 
 }  // namespace pmblade

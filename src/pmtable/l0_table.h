@@ -70,6 +70,14 @@ class L0Table {
   /// freed storage.
   virtual Status Destroy() = 0;
 
+  /// Point lookup of `lkey`'s user key at its snapshot; L0TableGet's range
+  /// and bloom rejection come first. On a value hit fills *value and sets
+  /// found=true with OK in *result_status; on a tombstone sets found=true
+  /// with NotFound. The returned status is non-OK only for a corrupt table.
+  /// The default seeks a fresh iterator; PmTable answers in place.
+  virtual Status Get(const LookupKey& lkey, std::string* value, bool* found,
+                     Status* result_status) const;
+
   // ---- bloom filter (read-path acceleration) ----
 
   /// Whether a filter is attached; when false, MayContain is vacuously true
@@ -123,7 +131,7 @@ struct ReadProbeStats {
 /// its snapshot; on a value hit fills *value and returns found=true/OK; on a
 /// tombstone returns found=true and NotFound status via *result_status.
 /// Consults the table's bloom filter (if any) after the range rejection and
-/// before opening an iterator; `probe` (optional) accumulates the filter
+/// before the table's own Get; `probe` (optional) accumulates the filter
 /// accounting.
 Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
                   const LookupKey& lkey, std::string* value, bool* found,

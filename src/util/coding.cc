@@ -52,7 +52,8 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->append(buf, end - buf);
 }
 
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value) {
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value) {
   uint32_t result = 0;
   for (uint32_t shift = 0; shift <= 28 && p < limit; shift += 7) {
     uint32_t byte = static_cast<unsigned char>(*p);

@@ -50,9 +50,24 @@ char* EncodeVarint64(char* dst, uint64_t v);
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 
+/// Multi-byte case of GetVarint32Ptr, kept out of line.
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value);
+
 /// Parses a varint32 from [p, limit); returns pointer past it, or nullptr on
-/// malformed/truncated input.
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value);
+/// malformed/truncated input. Inline for the one-byte case (values below
+/// 128), which covers most key lengths in memtable and PM-table entries.
+inline const char* GetVarint32Ptr(const char* p, const char* limit,
+                                  uint32_t* value) {
+  if (p < limit) {
+    uint32_t byte = static_cast<unsigned char>(*p);
+    if ((byte & 0x80) == 0) {
+      *value = byte;
+      return p + 1;
+    }
+  }
+  return GetVarint32PtrFallback(p, limit, value);
+}
 const char* GetVarint64Ptr(const char* p, const char* limit, uint64_t* value);
 
 /// Slice-consuming variants: advance `input` past the parsed value. Return

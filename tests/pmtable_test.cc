@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "memtable/internal_key.h"
 #include "pm/pm_pool.h"
@@ -15,7 +20,26 @@
 #include "pmtable/pm_table.h"
 #include "pmtable/pm_table_builder.h"
 #include "pmtable/snappy_table.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
+
+// Counts heap allocations, so a test can pin that a PM-table lookup makes
+// none.
+static std::atomic<uint64_t> g_heap_allocations{0};
+
+void* operator new(size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The replacement pair is malloc/free by construction; GCC cannot see that
+// once it inlines them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pmblade {
 namespace {
@@ -268,6 +292,202 @@ TEST_F(PmTableEnv, PmReadTrafficIsAccounted) {
   EXPECT_GT(pool_->stats().read_accesses(), 0u);
 }
 
+// Field offsets of the PM table image (see the layout block in pm_table.cc).
+constexpr size_t kHeaderPrefixOff = 28;
+constexpr size_t kHeaderGroupIndexOff = 32;
+constexpr size_t kHeaderEntryOff = 36;
+constexpr size_t kHeaderSizeOff = 40;
+constexpr size_t kHeaderCrcOff = 44;
+constexpr size_t kGroupIndexEntry = 16;
+
+// Rewrites one fixed32 field of a stored image; header fields get their crc
+// recomputed so the damage is only the field itself.
+void SetField(char* image, size_t offset, uint32_t value) {
+  EncodeFixed32(image + offset, value);
+  if (offset < kHeaderCrcOff) {
+    EncodeFixed32(image + kHeaderCrcOff, crc32c::Value(image, 44));
+  }
+}
+
+TEST_F(PmTableEnv, OpenRejectsDamagedLayoutFields) {
+  const PmTableOptions options{.group_size = 16, .prefix_width = 8};
+  PmTableBuilder builder(pool_.get(), options);
+  for (int i = 0; i < 100; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "t%c|key%05d", 'A' + i / 50, i);
+    builder.Add(IKey(key, 5), "v" + std::to_string(i));
+  }
+  std::shared_ptr<PmTable> table;
+  ASSERT_TRUE(builder.Finish(&table).ok());
+  ASSERT_GE(table->num_groups(), 4u);
+  const uint64_t id = table->id();
+  char* image = pool_->DataFor(id);
+  const std::string pristine(image, table->size_bytes());
+  const uint32_t gindex = DecodeFixed32(image + kHeaderGroupIndexOff);
+  const uint32_t entry_off = DecodeFixed32(image + kHeaderEntryOff);
+  const uint32_t size = DecodeFixed32(image + kHeaderSizeOff);
+  auto group_field = [&](uint32_t g, size_t field) {
+    return gindex + g * kGroupIndexEntry + field;
+  };
+  const uint32_t group1_offset = DecodeFixed32(image + group_field(1, 0));
+
+  const uint32_t count1 = DecodeFixed32(image + group_field(1, 4));
+  const uint32_t count2 = DecodeFixed32(image + group_field(2, 4));
+
+  // One or two fields per case; the two-field cases keep the count sum.
+  struct Field {
+    size_t offset;
+    uint32_t value;
+  };
+  struct Damage {
+    const char* what;
+    std::vector<Field> fields;
+  };
+  const Damage damages[] = {
+      {"count 0", {{group_field(1, 4), 0}, {group_field(2, 4), count2 + count1}}},
+      {"count > group_size",
+       {{group_field(1, 4), count1 + 1}, {group_field(2, 4), count2 - 1}}},
+      {"counts disagree with num_entries", {{group_field(1, 4), count1 - 1}}},
+      {"common_len > prefix_width",
+       {{group_field(1, 12), options.prefix_width + 1}}},
+      {"entry offset not ascending", {{group_field(2, 0), group1_offset}}},
+      {"entry offset past the entry layer",
+       {{group_field(3, 0), size - entry_off}}},
+      {"meta id out of range", {{group_field(1, 8), table->num_metas()}}},
+      {"layer offsets not ascending", {{kHeaderPrefixOff, gindex + 1}}},
+      {"entry layer past size", {{kHeaderEntryOff, size + 1}}},
+      {"group index overlaps the entry layer", {{kHeaderEntryOff, gindex + 8}}},
+  };
+  for (const Damage& d : damages) {
+    for (const Field& f : d.fields) SetField(image, f.offset, f.value);
+    std::shared_ptr<PmTable> reopened;
+    Status s = PmTable::Open(pool_.get(), id, &reopened);
+    EXPECT_TRUE(s.IsCorruption()) << d.what << ": " << s.ToString();
+    memcpy(image, pristine.data(), pristine.size());
+  }
+  std::shared_ptr<PmTable> reopened;
+  EXPECT_TRUE(PmTable::Open(pool_.get(), id, &reopened).ok());
+}
+
+TEST_F(PmTableEnv, GetAndSeekReportTheSameMalformedEntry) {
+  PmTableBuilder builder(pool_.get(), PmTableOptions{.group_size = 8});
+  for (int i = 0; i < 64; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    builder.Add(IKey(key, 5), "value");
+  }
+  std::shared_ptr<PmTable> table;
+  ASSERT_TRUE(builder.Finish(&table).ok());
+  // Stretch the value length of group 3's second entry past the table end:
+  // a continuation bit on its one-byte value_len varint pulls the suffix's
+  // first byte into the length (thousands of bytes).
+  char* image = pool_->DataFor(table->id());
+  const uint32_t gindex = DecodeFixed32(image + kHeaderGroupIndexOff);
+  const uint32_t entry_off = DecodeFixed32(image + kHeaderEntryOff);
+  char* first = image + entry_off +
+                      DecodeFixed32(image + gindex + 3 * kGroupIndexEntry);
+  const size_t first_len = 2 + static_cast<uint8_t>(first[0]) +
+                           static_cast<uint8_t>(first[1]);
+  first[first_len + 1] = static_cast<char>(0xff);
+
+  for (int i : {24, 27, 31}) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    LookupKey lkey(key, kMaxSequenceNumber);
+    std::string value;
+    bool found = false;
+    Status result;
+    Status s = table->Get(lkey, &value, &found, &result);
+    EXPECT_TRUE(s.IsCorruption()) << key << ": " << s.ToString();
+    EXPECT_FALSE(found);
+
+    std::unique_ptr<Iterator> it(table->NewIterator());
+    it->Seek(lkey.internal_key());
+    EXPECT_FALSE(it->Valid());
+    EXPECT_EQ(it->status().ToString(), s.ToString());
+  }
+}
+
+TEST_F(PmTableEnv, GetAllocatesNothing) {
+  PmTableBuilder builder(pool_.get(), PmTableOptions{});
+  for (int i = 0; i < 500; i += 2) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    builder.Add(IKey(key, 5), std::string(64, 'v'));
+  }
+  std::shared_ptr<PmTable> table;
+  ASSERT_TRUE(builder.Finish(&table).ok());
+  InternalKeyComparator icmp(BytewiseComparator());
+
+  std::string value;
+  value.reserve(128);  // a hit's value fits without growing the string
+  for (int i : {0, 1, 250, 251, 498, 499}) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    LookupKey lkey(key, kMaxSequenceNumber);
+    bool found = false;
+    Status result;
+    const uint64_t before = g_heap_allocations.load();
+    Status s = L0TableGet(*table, icmp, lkey, &value, &found, &result);
+    const uint64_t allocations = g_heap_allocations.load() - before;
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(found, i % 2 == 0) << key;
+    EXPECT_EQ(allocations, 0u) << key;
+  }
+}
+
+TEST_F(PmTableEnv, GetChargesExactlyWhatSeekCharges) {
+  for (uint32_t group_size : {8u, 16u}) {
+    SCOPED_TRACE(group_size);
+    PmTableBuilder builder(
+        pool_.get(), PmTableOptions{.group_size = group_size, .prefix_width = 8});
+    std::vector<std::string> targets;
+    Random r(group_size);
+    for (int i = 0; i < 300; ++i) {
+      char key[48];
+      snprintf(key, sizeof(key), "%s|key%05d", i < 150 ? "orders" : "users",
+               i * 2);
+      const int versions = 1 + static_cast<int>(r.Uniform(12));
+      for (int v = versions; v > 0; --v) {
+        const SequenceNumber seq = 10 * v;
+        builder.Add(IKey(key, seq, r.OneIn(5) ? kTypeDeletion : kTypeValue),
+                    std::string(r.Uniform(40), 'v'));
+        targets.push_back(IKey(key, seq));      // exact version
+        targets.push_back(IKey(key, seq - 5));  // snapshot between versions
+      }
+      targets.push_back(IKey(key, kMaxSequenceNumber));
+      snprintf(key, sizeof(key), "%s|key%05d", i < 150 ? "orders" : "users",
+               i * 2 + 1);
+      targets.push_back(IKey(key, kMaxSequenceNumber));  // absent, between
+    }
+    targets.push_back(IKey("aaa|first", kMaxSequenceNumber));  // before all
+    targets.push_back(IKey("zzz|last", kMaxSequenceNumber));   // after all
+    std::shared_ptr<PmTable> table;
+    ASSERT_TRUE(builder.Finish(&table).ok());
+
+    std::unique_ptr<Iterator> it(table->NewIterator());
+    for (const std::string& target : targets) {
+      pool_->stats().Reset();
+      it->Seek(target);
+      ASSERT_TRUE(it->status().ok());
+      const uint64_t seek_accesses = pool_->stats().read_accesses();
+      const uint64_t seek_bytes = pool_->stats().bytes_read();
+
+      pool_->stats().Reset();
+      LookupKey lkey(ExtractUserKey(target),
+                     UnpackSequence(ExtractTag(Slice(target))));
+      std::string value;
+      bool found = false;
+      Status result;
+      ASSERT_TRUE(table->Get(lkey, &value, &found, &result).ok());
+      EXPECT_EQ(pool_->stats().read_accesses(), seek_accesses)
+          << ExtractUserKey(target).ToString();
+      EXPECT_EQ(pool_->stats().bytes_read(), seek_bytes)
+          << ExtractUserKey(target).ToString();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cross-structure property tests: each L0 structure vs an in-memory model.
 // ---------------------------------------------------------------------------
@@ -295,9 +515,10 @@ class L0PropertyTest : public ::testing::TestWithParam<Structure> {
     ::remove(path_.c_str());
   }
 
-  L0TableRef Build(const std::map<std::string, std::string>& model) {
-    // model maps internal key -> value, already in internal order because
-    // we use a single seq per user key.
+  // `entries` are (internal key, value) pairs in internal order: a map of
+  // single-version keys, or a vector when a user key has several versions.
+  template <typename Entries>
+  L0TableRef Build(const Entries& model) {
     switch (GetParam()) {
       case Structure::kPmTable: {
         PmTableBuilder b(pool_.get(), PmTableOptions{.group_size = 16});
@@ -353,6 +574,41 @@ class L0PropertyTest : public ::testing::TestWithParam<Structure> {
       model[IKey(user_key, 7)] = value;
     }
     return model;
+  }
+
+  using Entries = std::vector<std::pair<std::string, std::string>>;
+
+  // `users` user keys, each with 1..20 versions (newest first) so version
+  // runs straddle group boundaries at group sizes 8 and 16; about one
+  // version in four is a tombstone. Fills `seqs` with each key's sequences.
+  static Entries MakeVersionedModel(
+      int users, uint64_t seed,
+      std::map<std::string, std::vector<SequenceNumber>>* seqs) {
+    Random r(seed);
+    std::map<std::string, std::vector<SequenceNumber>> keys;
+    const char* tables[] = {"orders|", "users|"};
+    while (static_cast<int>(keys.size()) < users) {
+      std::string user_key = tables[r.Uniform(2)];
+      std::string suffix;
+      r.RandomString(2 + r.Uniform(10), &suffix);
+      keys[user_key + suffix];
+    }
+    Entries entries;
+    for (auto& [user_key, versions] : keys) {
+      SequenceNumber seq = 1000 + r.Uniform(1000);
+      for (uint64_t v = 1 + r.Uniform(20); v > 0; --v) {
+        versions.push_back(seq);
+        const bool tombstone = r.OneIn(4);
+        std::string value;
+        if (!tombstone) r.RandomBytes(r.Uniform(40), &value);
+        entries.emplace_back(
+            IKey(user_key, seq, tombstone ? kTypeDeletion : kTypeValue),
+            value);
+        seq -= 1 + r.Uniform(5);
+      }
+    }
+    *seqs = std::move(keys);
+    return entries;
   }
 
   std::string path_;
@@ -417,6 +673,65 @@ TEST_P(L0PropertyTest, GenericGetAgainstModel) {
   ASSERT_TRUE(
       L0TableGet(*table, icmp, absent, &value, &found, &result).ok());
   EXPECT_FALSE(found);
+}
+
+TEST_P(L0PropertyTest, SnapshotGetMatchesIteratorSeek) {
+  std::map<std::string, std::vector<SequenceNumber>> seqs;
+  L0TableRef table = Build(MakeVersionedModel(150, 21, &seqs));
+  ASSERT_NE(table, nullptr);
+  InternalKeyComparator icmp(BytewiseComparator());
+
+  // Every version, every gap between versions, above the newest and below
+  // the oldest, plus absent keys before, between and after the stored ones.
+  std::vector<std::pair<std::string, SequenceNumber>> lookups;
+  for (const auto& [user_key, versions] : seqs) {
+    lookups.emplace_back(user_key, kMaxSequenceNumber);
+    for (SequenceNumber seq : versions) {
+      lookups.emplace_back(user_key, seq);
+      lookups.emplace_back(user_key, seq - 1);
+    }
+    lookups.emplace_back(user_key + "0", kMaxSequenceNumber);
+  }
+  lookups.emplace_back("a|before", kMaxSequenceNumber);
+  lookups.emplace_back("orders|", kMaxSequenceNumber);
+  lookups.emplace_back("zzz|after", kMaxSequenceNumber);
+
+  std::unique_ptr<Iterator> it(table->NewIterator());
+  int hits = 0, tombstones = 0;
+  for (const auto& [user_key, seq] : lookups) {
+    SCOPED_TRACE(user_key + " @" + std::to_string(seq));
+    LookupKey lkey(user_key, seq);
+    // Reference: the first entry >= the lookup key, if it has the user key.
+    it->Seek(lkey.internal_key());
+    ASSERT_TRUE(it->status().ok());
+    bool want_found = false;
+    bool want_tombstone = false;
+    std::string want_value;
+    if (it->Valid() && ExtractUserKey(it->key()) == Slice(user_key)) {
+      want_found = true;
+      want_tombstone = (ExtractTag(it->key()) & 0xff) == kTypeDeletion;
+      want_value = it->value().ToString();
+    }
+
+    std::string value;
+    bool found = false;
+    Status result;
+    ASSERT_TRUE(L0TableGet(*table, icmp, lkey, &value, &found, &result).ok());
+    ASSERT_EQ(found, want_found);
+    if (!found) continue;
+    ++hits;
+    if (want_tombstone) {
+      ++tombstones;
+      EXPECT_TRUE(result.IsNotFound());
+    } else {
+      EXPECT_TRUE(result.ok());
+      EXPECT_EQ(value, want_value);
+    }
+  }
+  // The lookups cover hits, tombstones and misses.
+  EXPECT_GT(tombstones, 0);
+  EXPECT_GT(hits - tombstones, 0);
+  EXPECT_LT(hits, static_cast<int>(lookups.size()));
 }
 
 TEST_P(L0PropertyTest, BackwardScanMatchesModel) {
