@@ -3,11 +3,7 @@
 // design space per "Constructing and Analyzing the LSM Compaction Design
 // Space").
 //
-// A CompactionPicker owns three decisions:
-//   * trigger evaluation — Eq. 1/2 for internal (PM-side) compaction is
-//     shared verbatim across policies (the PM level-0 shape is policy-
-//     independent); the Eq. 3 eviction gate (τ_m / pool pressure) and the
-//     greedy keep-set knapsack are likewise shared,
+// A CompactionPicker owns two decisions, both for SSD-side compaction:
 //   * victim selection + output placement for PM -> SSD eviction
 //     (PickEviction): leveled merges a victim's level-0 WITH its whole run
 //     stack into one level-1 run (the paper's major compaction,
@@ -21,9 +17,13 @@
 //     maintenance to collapse a stack inherited from another policy, which
 //     is what makes Options::compaction_policy switchable across reopens.
 //
-// The executor (DBImpl) turns jobs into subcompactions, claims, installs
-// and manifest commits; pickers are pure functions over a snapshot of the
-// tree and never touch engine state.
+// The Eq. 3 eviction gate (τ_m / pool pressure) and the greedy keep-set
+// knapsack run inside PickEviction and are shared by every policy. The
+// Eq. 1/2 internal (PM-side) compaction trigger is not a picker decision:
+// the PM level-0 shape is policy-independent, so the executor (DBImpl)
+// asks CostModel::EvaluateInternal directly. The executor also turns jobs
+// into subcompactions, claims, installs and manifest commits; pickers are
+// pure functions over a snapshot of the tree and never touch engine state.
 
 #ifndef PMBLADE_COMPACTION_POLICY_COMPACTION_PICKER_H_
 #define PMBLADE_COMPACTION_POLICY_COMPACTION_PICKER_H_
@@ -120,11 +120,6 @@ class CompactionPicker {
 
   virtual const char* name() const = 0;
   virtual CompactionPolicyKind kind() const = 0;
-
-  /// Eq. 1/2 internal-compaction trigger; identical across policies.
-  CostDecision EvaluateInternal(const PartitionCounters& counters) const {
-    return cost_->EvaluateInternal(counters);
-  }
 
   /// PM -> SSD eviction (the paper's major compaction trigger): Eq. 3 gate,
   /// keep-set knapsack, one job per victim. Called once per Algorithm-1

@@ -35,37 +35,12 @@ std::string SstFileName(const std::string& dbname, uint64_t number) {
   return dbname + buf;
 }
 
-/// Bounds a sorted internal-key iterator to user keys < `end` (empty end =
-/// unbounded). Used to slice the immutable memtable per partition.
-class BoundedIterator final : public Iterator {
- public:
-  BoundedIterator(Iterator* base, std::string end_user_key)
-      : base_(base), end_(std::move(end_user_key)) {}
-
-  bool Valid() const override {
-    if (!base_->Valid()) return false;
-    if (end_.empty()) return true;
-    return ExtractUserKey(base_->key()).compare(Slice(end_)) < 0;
-  }
-  void SeekToFirst() override {}  // base pre-positioned by the caller
-  void SeekToLast() override {}
-  void Seek(const Slice&) override {}
-  void Next() override { base_->Next(); }
-  void Prev() override {}
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  Iterator* base_;
-  std::string end_;
-};
-
 /// Clips an owned sorted internal-key iterator to the user-key range
-/// [begin, end) — empty bound = unbounded. Subcompaction slices wrap their
-/// merged input in one of these: boundaries compare USER keys, so every
-/// version of a user key lands in exactly one slice and the per-slice dedup
-/// and tombstone logic in ProcessSlice stays correct.
+/// [begin, end) — empty bound = unbounded. A flush slices the frozen
+/// memtable per partition with these, and subcompaction slices wrap their
+/// merged input in one: boundaries compare USER keys, so every version of a
+/// user key lands in exactly one slice and the per-slice dedup and
+/// tombstone logic in ProcessSlice stays correct.
 class RangeClippedIterator final : public Iterator {
  public:
   RangeClippedIterator(Iterator* base, std::string begin_user_key,
@@ -181,8 +156,6 @@ DBImpl::~DBImpl() {
   if (compaction_scheduler_ != nullptr) compaction_scheduler_->Shutdown();
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_file_ != nullptr) wal_file_->Close();
-  if (mem_ != nullptr) mem_->Unref();
-  if (imm_ != nullptr) imm_->Unref();
 }
 
 Status DBImpl::Init() {
@@ -223,6 +196,10 @@ Status DBImpl::Init() {
     block_cache_ = owned_block_cache_.get();
   }
   memtable_limit_.store(options_.memtable_bytes, std::memory_order_relaxed);
+  // Published before any gauge callback or background thread can read it;
+  // recovery fills in the partitions' slots.
+  sv_ = std::make_shared<const SuperVersion>(
+      SuperVersion{SuperVersion::NewMemTable(icmp_), nullptr, {}});
 
   // PM pool (always opened; cheap when unused by the layout).
   std::string pool_path = options_.pm_pool_path.empty()
@@ -319,12 +296,12 @@ Status DBImpl::Init() {
     int q_cli = model_->Inflight(IoClass::kClient);
     return static_cast<double>(std::max(q - q_comp - q_cli, 0));
   });
-  // LSM shape, each summed over the partitions under mu_.
+  // LSM shape, each summed over the published partition table sets.
   auto partition_sum = [this](uint64_t (*per_part)(const PartitionSnapshot&)) {
     return [this, per_part] {
       std::lock_guard<std::mutex> lock(mu_);
       uint64_t total = 0;
-      for (const auto& p : partitions_) total += per_part(*p->current());
+      for (const auto& part : sv_->parts) total += per_part(*part);
       return static_cast<double>(total);
     };
   };
@@ -355,8 +332,8 @@ Status DBImpl::Init() {
   metrics_.RegisterGaugeCallback("pmblade.lsm.max_ssd_level", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     uint32_t deepest = 0;
-    for (const auto& p : partitions_) {
-      deepest = std::max(deepest, p->current()->MaxSsdLevel());
+    for (const auto& part : sv_->parts) {
+      deepest = std::max(deepest, part->MaxSsdLevel());
     }
     return static_cast<double>(deepest);
   });
@@ -487,8 +464,6 @@ Status DBImpl::Init() {
     arbiter_->Start();
   }
 
-  mem_ = new MemTable(icmp_);
-  mem_->Ref();
   flush_pool_.reset(new ThreadPool(1));
 
   // The dedicated Algorithm-1 worker (see compaction_scheduler.h for the
@@ -522,25 +497,29 @@ Status DBImpl::Init() {
 
   // Recover or bootstrap.
   ManifestState state;
+  std::vector<std::shared_ptr<const PartitionSnapshot>> parts;
   Status s = ReadManifest(env_, dbname_, &state);
   if (s.ok()) {
     l1_factory_->set_next_file_number(state.next_file_number);
     last_sequence_ = state.last_sequence;
     flushed_sequence_ = state.flushed_sequence;
-    PMBLADE_RETURN_IF_ERROR(RecoverPartitions(state));
+    PMBLADE_RETURN_IF_ERROR(RecoverPartitions(state, &parts));
     if (state.wal_number != 0) {
       PMBLADE_RETURN_IF_ERROR(ReplayWals(state.wal_number));
     }
   } else if (s.IsNotFound()) {
-    // Fresh DB: create partitions from the configured boundaries.
+    // Fresh DB: create partitions from the configured boundaries, each
+    // with an empty table set.
+    std::vector<std::string> ends = options_.partition_boundaries;
+    ends.emplace_back();
     std::string prev;
-    for (const auto& boundary : options_.partition_boundaries) {
+    for (const auto& end : ends) {
       partitions_.push_back(std::make_unique<Partition>(
-          next_partition_id_++, prev, boundary, clock_));
-      prev = boundary;
+          next_partition_id_++, partitions_.size(), prev, end, clock_));
+      parts.push_back(std::make_shared<const PartitionSnapshot>(
+          PartitionSnapshot{prev, end, {}, {}, {}}));
+      prev = end;
     }
-    partitions_.push_back(std::make_unique<Partition>(
-        next_partition_id_++, prev, std::string(), clock_));
     // No manifest means nothing on disk is referenced: a directory that
     // still holds pool objects or .sst files (a crash before the very first
     // manifest commit) is all garbage. WAL data replays into the memtable
@@ -560,6 +539,11 @@ Status DBImpl::Init() {
   } else {
     return s;
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    InstallSuperVersionLocked(
+        [&parts](SuperVersion* sv) { sv->parts = std::move(parts); });
+  }
 
   // The manifest's next_file_number can be STALE: logs rotated after the
   // last manifest commit carry numbers at or above it. Allocating from the
@@ -577,7 +561,9 @@ Status DBImpl::Init() {
   return PersistManifest();
 }
 
-Status DBImpl::RecoverPartitions(const ManifestState& state) {
+Status DBImpl::RecoverPartitions(
+    const ManifestState& state,
+    std::vector<std::shared_ptr<const PartitionSnapshot>>* parts) {
   partitions_.clear();
 
   std::set<uint64_t> referenced_pm_ids;
@@ -642,10 +628,11 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
   };
 
   for (const auto& mp : state.partitions) {
-    auto partition = std::make_unique<Partition>(mp.id, mp.begin_key,
-                                                 mp.end_key, clock_);
+    partitions_.push_back(std::make_unique<Partition>(
+        mp.id, partitions_.size(), mp.begin_key, mp.end_key, clock_));
     next_partition_id_ = std::max(next_partition_id_, mp.id + 1);
-    auto tables = std::make_shared<PartitionSnapshot>(*partition->current());
+    auto tables = std::make_shared<PartitionSnapshot>(
+        PartitionSnapshot{mp.begin_key, mp.end_key, {}, {}, {}});
     for (uint64_t id : mp.unsorted_pm_ids) {
       L0TableRef t;
       PMBLADE_RETURN_IF_ERROR(open_pm(id, &t));
@@ -676,8 +663,7 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
       }
       tables->ssd_runs.push_back(std::move(run));
     }
-    partition->Install(std::move(tables));
-    partitions_.push_back(std::move(partition));
+    parts->push_back(std::move(tables));
   }
 
   // Garbage-collect pool objects an interrupted compaction left behind.
@@ -705,7 +691,7 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
 Status DBImpl::ReplayWals(uint64_t floor) {
   // The manifest's wal number is a FLOOR: every log >= it may hold
   // acknowledged writes not yet in level-0 tables (with a background flush
-  // in flight there can be several — the imm_'s logs plus the active one).
+  // in flight there can be several — the imm's logs plus the active one).
   // Replay them all, ascending, so a crash mid-flush loses nothing; logs
   // below the floor were flushed before the last manifest commit and are
   // garbage-collected here.
@@ -786,7 +772,7 @@ Status DBImpl::ReplayWals(uint64_t floor) {
               WriteBatch batch;
               batch.SetContentsFrom(Slice(it->second.payload));
               batch.SetSequence(txn.base_seq);
-              Status s = batch.InsertInto(mem_);
+              Status s = batch.InsertInto(sv_->mem.get());
               if (!s.ok()) return s;
               SequenceNumber end_seq = txn.base_seq + batch.Count() - 1;
               if (end_seq > last_sequence_) last_sequence_ = end_seq;
@@ -810,7 +796,7 @@ Status DBImpl::ReplayWals(uint64_t floor) {
       }
       WriteBatch batch;
       batch.SetContentsFrom(record);
-      Status s = batch.InsertInto(mem_);
+      Status s = batch.InsertInto(sv_->mem.get());
       if (!s.ok()) return s;
       SequenceNumber end_seq = batch.Sequence() + batch.Count() - 1;
       if (end_seq > last_sequence_) last_sequence_ = end_seq;
@@ -889,7 +875,7 @@ Status DBImpl::PersistManifest() {
     mp.begin_key = partition->begin_key();
     mp.end_key = partition->end_key();
     const bool ssd_l0 = options_.l0_layout == L0Layout::kSstable;
-    const PartitionSnapshot& tables = *partition->current();
+    const PartitionSnapshot& tables = *sv_->parts[partition->index()];
     for (const auto& table : tables.unsorted) {
       (ssd_l0 ? mp.unsorted_file_numbers : mp.unsorted_pm_ids)
           .push_back(table->id());
@@ -971,7 +957,9 @@ Status DBImpl::WriteInternal(WriterState& w) {
     group->SetSequence(last_sequence + 1);
     last_sequence += group->Count();
 
-    MemTable* mem = mem_;
+    // Only the leader switches memtables, so sv_ keeps `mem` alive while
+    // the lock is released below.
+    MemTable* mem = sv_->mem.get();
     bool sync_error = false;
     {
       // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
@@ -1136,7 +1124,7 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
   SequenceNumber next_seq = last_sequence_;  // running cursor for commits
   bool group_sync = false;
   bool staged_commit = false;
-  MemTable* mem = mem_;
+  MemTable* mem = sv_->mem.get();
   for (WriterState* m : group) {
     switch (m->kind) {
       case WriteKind::kTxnPrepare: {
@@ -1407,14 +1395,11 @@ void DBImpl::NoteGroupWrites(const WriteBatch& group, MemTable* mem) {
     DBImpl* db;
     MemTable* mem;
     void Put(const Slice& key, const Slice&) override {
-      Partition* p = db->FindPartition(key);
-      if (p == nullptr) return;
       LookupKey lkey(key, kMaxSequenceNumber);
-      p->NoteWrite(mem->Contains(lkey));
+      db->FindPartition(key)->NoteWrite(mem->Contains(lkey));
     }
     void Delete(const Slice& key) override {
-      Partition* p = db->FindPartition(key);
-      if (p != nullptr) p->NoteWrite(true);
+      db->FindPartition(key)->NoteWrite(true);
     }
   } handler;
   handler.db = this;
@@ -1427,12 +1412,12 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
   bool allow_delay = !force;
   while (true) {
     if (!bg_error_.ok()) return bg_error_;
-    const size_t usage = mem_->ApproximateMemoryUsage();
+    const size_t usage = sv_->mem->ApproximateMemoryUsage();
     // The rotation threshold is dynamic: the memory arbiter retunes
     // memtable_limit_ at runtime (it equals options_.memtable_bytes when
     // the arbiter is off).
     const size_t limit = memtable_limit_.load(std::memory_order_relaxed);
-    if (allow_delay && imm_ != nullptr &&
+    if (allow_delay && sv_->imm != nullptr &&
         usage >= static_cast<size_t>(limit *
                                      options_.write_slowdown_watermark)) {
       // Soft limit: the flush is behind. Delay this write once by ~1 ms to
@@ -1445,17 +1430,17 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
       continue;
     }
     if (!force && usage < limit) break;
-    if (imm_ != nullptr) {
+    if (sv_->imm != nullptr) {
       // Hard stall: both memtables are full; wait for the background flush.
       stall_counter_->Inc();
       const uint64_t stall_start = clock_->NowNanos();
       flush_done_cv_.wait(lock, [this] {
-        return imm_ == nullptr || !bg_error_.ok();
+        return sv_->imm == nullptr || !bg_error_.ok();
       });
       stall_nanos_counter_->Inc(clock_->NowNanos() - stall_start);
       continue;
     }
-    if (mem_->num_entries() == 0) break;  // nothing to rotate
+    if (sv_->mem->num_entries() == 0) break;  // nothing to rotate
     PMBLADE_RETURN_IF_ERROR(SwitchMemTableLocked());
     force = false;
   }
@@ -1463,27 +1448,28 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
 }
 
 Status DBImpl::SwitchMemTableLocked() {
-  // MakeRoomForWrite guarantees imm_ == nullptr here.
+  // MakeRoomForWrite guarantees there is no imm here.
   std::vector<uint64_t> feeding = live_wals_;
   PMBLADE_RETURN_IF_ERROR(NewWal());
   live_wals_.push_back(wal_number_);
   PMBLADE_SYNC_POINT("DBImpl::SwitchMemTable:AfterNewWal");
   imm_wals_ = std::move(feeding);
-  imm_ = mem_;
+  InstallSuperVersionLocked([this](SuperVersion* sv) {
+    sv->imm = std::move(sv->mem);
+    sv->mem = SuperVersion::NewMemTable(icmp_);
+  });
   // Writes are quiesced here (leader context under mu_), so last_sequence_
   // is exactly the frozen memtable's ceiling.
   imm_ceiling_ = last_sequence_;
-  mem_ = new MemTable(icmp_);
-  mem_->Ref();
   flush_pool_->Submit([this] { BackgroundFlush(); });
   return Status::OK();
 }
 
 void DBImpl::BackgroundFlush() {
-  MemTable* imm;
+  std::shared_ptr<MemTable> imm;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    imm = imm_;
+    imm = sv_->imm;
   }
   if (imm == nullptr) return;
   PMBLADE_SYNC_POINT("DBImpl::BackgroundFlush:Start");
@@ -1503,40 +1489,34 @@ void DBImpl::BackgroundFlush() {
   // partition boundaries are immutable after Init, and the factory / PM
   // pool are internally synchronized. Readers and writers proceed.
   std::vector<std::pair<Partition*, L0TableRef>> built;
-  std::unique_ptr<Iterator> it(imm->NewIterator());
-  it->SeekToFirst();
   Status s;
   for (auto& partition : partitions_) {
-    if (!it->Valid()) break;
-    // Skip partitions before the iterator's position.
-    if (!partition->end_key().empty() &&
-        ExtractUserKey(it->key()).compare(
-            Slice(partition->end_key())) >= 0) {
-      continue;
-    }
-    BoundedIterator bounded(it.get(), partition->end_key());
+    RangeClippedIterator slice(imm->NewIterator(), partition->begin_key(),
+                               partition->end_key());
+    slice.SeekToFirst();
     L0TableRef table;
-    s = factory->BuildFrom(&bounded, &table);
+    s = factory->BuildFrom(&slice, &table);  // no table for an empty slice
     if (!s.ok()) break;
     if (table != nullptr) built.emplace_back(partition.get(), std::move(table));
   }
-  if (s.ok()) s = it->status();
-  it.reset();
   PMBLADE_SYNC_POINT("DBImpl::BackgroundFlush:BuiltTables");
 
   std::lock_guard<std::mutex> lock(mu_);
   if (s.ok()) {
-    // Install under a short critical section: newest first per partition.
+    // One install under a short critical section: imm leaves the read view
+    // as its tables join it, newest first per partition.
     std::vector<Partition*> touched;
-    for (auto& entry : built) {
-      Partition* partition = entry.first;
-      auto next = std::make_shared<PartitionSnapshot>(*partition->current());
-      next->unsorted.insert(next->unsorted.begin(), std::move(entry.second));
-      partition->Install(std::move(next));
-      touched.push_back(partition);
-    }
-    imm_->Unref();
-    imm_ = nullptr;
+    InstallSuperVersionLocked([&built, &touched](SuperVersion* sv) {
+      for (auto& entry : built) {
+        Partition* partition = entry.first;
+        auto next =
+            std::make_shared<PartitionSnapshot>(*sv->parts[partition->index()]);
+        next->unsorted.insert(next->unsorted.begin(), std::move(entry.second));
+        sv->parts[partition->index()] = std::move(next);
+        touched.push_back(partition);
+      }
+      sv->imm = nullptr;
+    });
     if (imm_ceiling_ > flushed_sequence_) flushed_sequence_ = imm_ceiling_;
     stats_.AddFlush();
     bg_flush_counter_->Inc();
@@ -1579,14 +1559,14 @@ void DBImpl::BackgroundFlush() {
                     static_cast<double>(clock_->NowNanos() - flush_start)));
     }
     if (s.ok()) {
-      // The flush is committed and imm_ is clear: wake stalled writers
+      // The flush is committed and imm is clear: wake stalled writers
       // NOW. Algorithm 1 is handed to the scheduler and must not extend
       // the stall.
       flush_done_cv_.notify_all();
       ScheduleCompactionCheck(touched);
     }
   } else {
-    // Failed build: drop partial outputs. imm_ stays installed for reads
+    // Failed build: drop partial outputs. imm stays installed for reads
     // and its data remains recoverable from the still-live WALs.
     for (auto& entry : built) entry.second->Destroy();
   }
@@ -1617,7 +1597,7 @@ Status DBImpl::FlushMemTable() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     flush_done_cv_.wait(lock, [this] {
-      return imm_ == nullptr || !bg_error_.ok();
+      return sv_->imm == nullptr || !bg_error_.ok();
     });
     PMBLADE_RETURN_IF_ERROR(bg_error_);
   }
@@ -1699,7 +1679,8 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
   if (options_.enable_cost_model) {
     if (options_.enable_internal_compaction) {
       for (Partition* partition : touched) {
-        PartitionCounters counters = partition->Counters();
+        PartitionCounters counters =
+            partition->Counters(*sv_->parts[partition->index()]);
         CostDecision decision = cost_model_->EvaluateInternal(counters);
         decision_counter_->Inc();
         if (decision.eq1_triggered) eq1_trigger_counter_->Inc();
@@ -1811,9 +1792,8 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
   // Conventional policy (PMBlade-PM): when any partition accumulates
   // l0_table_trigger level-0 tables, compact the ENTIRE level-0 down.
   bool due = false;
-  for (const auto& partition : partitions_) {
-    const PartitionSnapshot& tables = *partition->current();
-    if (tables.unsorted.size() + tables.sorted_run.size() >=
+  for (const auto& tables : sv_->parts) {
+    if (tables->unsorted.size() + tables->sorted_run.size() >=
         options_.l0_table_trigger) {
       due = true;
       break;
@@ -1829,7 +1809,7 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
     std::vector<Partition*> extra_claims;
     for (const auto& partition : partitions_) {
       Partition* p = partition.get();
-      if (p->current()->L0Bytes() == 0) continue;
+      if (sv_->parts[p->index()]->L0Bytes() == 0) continue;
       if (ours.count(p) == 0) {
         if (!compacting_.insert(p).second) continue;  // held by a sibling
         extra_claims.push_back(p);
@@ -1839,7 +1819,7 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
     if (!victims.empty()) {
       std::vector<MajorJob> jobs;
       jobs.reserve(victims.size());
-      for (Partition* p : victims) jobs.push_back(FullCollapseJob(p));
+      for (Partition* p : victims) jobs.push_back(FullCollapseJobLocked(p));
       first_error = RunMajorCompactionOnJobs(lock, jobs);
     }
     for (Partition* p : extra_claims) {
@@ -1886,7 +1866,8 @@ Status DBImpl::RunInternalCompactionOnPartition(
   // The merge input. Only this (claim-holding) thread removes tables from
   // the partition, so `before`'s unsorted tables stay a suffix of the
   // current set's while the merge runs; flushes may prepend newer tables.
-  const std::shared_ptr<const PartitionSnapshot> before = partition->current();
+  const std::shared_ptr<const PartitionSnapshot> before =
+      sv_->parts[partition->index()];
   if (before->unsorted.empty() && before->sorted_run.size() <= 1) {
     return Status::OK();
   }
@@ -1925,10 +1906,13 @@ Status DBImpl::RunInternalCompactionOnPartition(
   // Install under mu_ onto the CURRENT set: remove exactly `before`'s
   // unsorted tables (newer flushed tables at the front stay, correctly
   // ordered above the merged run).
-  auto next = std::make_shared<PartitionSnapshot>(*partition->current());
-  Partition::RemoveTables(&next->unsorted, before->unsorted);
-  next->sorted_run = std::move(outputs);
-  partition->Install(std::move(next));
+  InstallSuperVersionLocked([&](SuperVersion* sv) {
+    auto next =
+        std::make_shared<PartitionSnapshot>(*sv->parts[partition->index()]);
+    Partition::RemoveTables(&next->unsorted, before->unsorted);
+    next->sorted_run = std::move(outputs);
+    sv->parts[partition->index()] = std::move(next);
+  });
   partition->ResetCounters();
   stats_.AddInternalCompaction(cstats.input_bytes, cstats.output_bytes);
 
@@ -1952,12 +1936,12 @@ Status DBImpl::RunInternalCompactionOnPartition(
   return Status::OK();
 }
 
-DBImpl::MajorJob DBImpl::FullCollapseJob(Partition* partition) {
+DBImpl::MajorJob DBImpl::FullCollapseJobLocked(Partition* partition) const {
   MajorJob job;
   job.partition = partition;
   job.include_l0 = true;
   job.run_begin = 0;
-  job.run_end = partition->current()->ssd_runs.size();
+  job.run_end = sv_->parts[partition->index()]->ssd_runs.size();
   job.output_level = 1;
   return job;
 }
@@ -1967,9 +1951,9 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
   ctx.partitions.reserve(partitions_.size());
   for (const auto& up : partitions_) {
     Partition* partition = up.get();
-    const PartitionSnapshot& tables = *partition->current();
+    const PartitionSnapshot& tables = *sv_->parts[partition->index()];
     PartitionView view;
-    view.counters = partition->Counters();
+    view.counters = partition->Counters(tables);
     view.l0_bytes = tables.L0Bytes();
     view.runs.reserve(tables.ssd_runs.size());
     for (const SsdRun& run : tables.ssd_runs) {
@@ -2011,7 +1995,8 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
       static_cast<size_t>(std::max(options_.max_subcompactions, 1));
   for (size_t j = 0; j < jobs.size(); ++j) {
     const MajorJob& job = jobs[j];
-    std::shared_ptr<const PartitionSnapshot> before = job.partition->current();
+    std::shared_ptr<const PartitionSnapshot> before =
+        sv_->parts[job.partition->index()];
     befores.push_back(before);
     const size_t run_begin = job.run_begin;
     const size_t run_end = std::min(job.run_end, before->ssd_runs.size());
@@ -2190,35 +2175,39 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
   // preserving the stack's newest-first recency order and its
   // non-decreasing level tags.
   std::vector<L0TableRef> doomed;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    const MajorJob& job = jobs[j];
-    Partition* partition = job.partition;
-    const PartitionSnapshot& before = *befores[j];
-    auto next = std::make_shared<PartitionSnapshot>(*partition->current());
-    if (job.include_l0) {
-      for (auto& t : before.unsorted) doomed.push_back(t);
-      for (auto& t : before.sorted_run) doomed.push_back(t);
-      Partition::RemoveTables(&next->unsorted, before.unsorted);
-      Partition::RemoveTables(&next->sorted_run, before.sorted_run);
+  InstallSuperVersionLocked([&](SuperVersion* sv) {
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      const MajorJob& job = jobs[j];
+      const size_t index = job.partition->index();
+      const PartitionSnapshot& before = *befores[j];
+      auto next = std::make_shared<PartitionSnapshot>(*sv->parts[index]);
+      if (job.include_l0) {
+        for (auto& t : before.unsorted) doomed.push_back(t);
+        for (auto& t : before.sorted_run) doomed.push_back(t);
+        Partition::RemoveTables(&next->unsorted, before.unsorted);
+        Partition::RemoveTables(&next->sorted_run, before.sorted_run);
+      }
+      const size_t run_end = std::min(job.run_end, before.ssd_runs.size());
+      for (size_t r = job.run_begin; r < run_end; ++r) {
+        for (auto& t : before.ssd_runs[r].tables) doomed.push_back(t);
+      }
+      std::vector<SsdRun>& stack = next->ssd_runs;
+      stack.erase(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
+                  stack.begin() + static_cast<ptrdiff_t>(run_end));
+      if (!new_runs[j].empty()) {
+        SsdRun out;
+        out.level = job.output_level;
+        out.tables = std::move(new_runs[j]);
+        stack.insert(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
+                     std::move(out));
+      }
+      sv->parts[index] = std::move(next);
     }
-    const size_t run_end = std::min(job.run_end, before.ssd_runs.size());
-    for (size_t r = job.run_begin; r < run_end; ++r) {
-      for (auto& t : before.ssd_runs[r].tables) doomed.push_back(t);
-    }
-    std::vector<SsdRun>& stack = next->ssd_runs;
-    stack.erase(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
-                stack.begin() + static_cast<ptrdiff_t>(run_end));
-    if (!new_runs[j].empty()) {
-      SsdRun out;
-      out.level = job.output_level;
-      out.tables = std::move(new_runs[j]);
-      stack.insert(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
-                   std::move(out));
-    }
-    partition->Install(std::move(next));
-    // Counters feed the Eq. 1/2/3 decisions about PM level-0; a pure
-    // shape-maintenance merge does not consume L0, so it keeps them.
-    if (job.include_l0) partition->ResetCounters();
+  });
+  // Counters feed the Eq. 1/2/3 decisions about PM level-0; a pure
+  // shape-maintenance merge does not consume L0, so it keeps them.
+  for (const MajorJob& job : jobs) {
+    if (job.include_l0) job.partition->ResetCounters();
   }
   stats_.AddMajorCompaction(mstats.ssd_bytes_written);
 
@@ -2266,8 +2255,9 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
       std::vector<PartitionCounters> all;
       uint64_t total_l0 = 0;
       for (const auto& partition : partitions_) {
-        all.push_back(partition->Counters());
-        total_l0 += partition->current()->L0Bytes();
+        const PartitionSnapshot& tables = *sv_->parts[partition->index()];
+        all.push_back(partition->Counters(tables));
+        total_l0 += tables.L0Bytes();
       }
       std::vector<size_t> retained = cost_model_->SelectRetained(all);
       keep.insert(retained.begin(), retained.end());
@@ -2284,11 +2274,11 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
       // already one level-1 run (a tiered/lazy shape this manual "compact
       // everything to level 1" API promises to flatten). For leveled-built
       // data this reduces to the historical L0Bytes() > 0 filter.
-      const PartitionSnapshot& tables = *partition->current();
+      const PartitionSnapshot& tables = *sv_->parts[i];
       const std::vector<SsdRun>& stack = tables.ssd_runs;
       bool flat = stack.size() == 1 && stack[0].level == 1;
       if (tables.L0Bytes() == 0 && (stack.empty() || flat)) continue;
-      jobs.push_back(FullCollapseJob(partition));
+      jobs.push_back(FullCollapseJobLocked(partition));
     }
     if (jobs.empty()) return Status::OK();
     return RunMajorCompactionOnJobs(lock, jobs);
@@ -2299,9 +2289,10 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
 // Read path
 // ---------------------------------------------------------------------------
 
-Partition* DBImpl::FindPartition(const Slice& user_key) {
-  // Partitions are sorted by range; binary search on end keys.
-  size_t lo = 0, hi = partitions_.size();
+Partition* DBImpl::FindPartition(const Slice& user_key) const {
+  // Partitions are sorted by range; binary search on end keys. The last
+  // partition is unbounded above, so the search never runs off the end.
+  size_t lo = 0, hi = partitions_.size() - 1;
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
     const std::string& end = partitions_[mid]->end_key();
@@ -2311,7 +2302,7 @@ Partition* DBImpl::FindPartition(const Slice& user_key) {
       hi = mid;
     }
   }
-  return lo < partitions_.size() ? partitions_[lo].get() : nullptr;
+  return partitions_[lo].get();
 }
 
 SequenceNumber DBImpl::OldestLiveSnapshot() const {
@@ -2319,32 +2310,33 @@ SequenceNumber DBImpl::OldestLiveSnapshot() const {
   return *live_snapshots_.begin();
 }
 
+std::shared_ptr<const SuperVersion> DBImpl::GrabReadView(
+    SequenceNumber* last_sequence) {
+  std::lock_guard<std::mutex> lock(mu_);
+  *last_sequence = last_sequence_;
+  return sv_;
+}
+
+void DBImpl::InstallSuperVersionLocked(
+    const std::function<void(SuperVersion*)>& edit) {
+  auto next = std::make_shared<SuperVersion>(*sv_);
+  edit(next.get());
+  sv_ = std::move(next);
+}
+
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   const uint64_t start = clock_->NowNanos();
 
-  MemTable* mem = nullptr;
-  MemTable* imm = nullptr;
+  // Brief grab of the sequence and the read view, then everything else
+  // lock-free: a flush, compaction or group commit in flight never blocks a
+  // reader past it.
   SequenceNumber snapshot;
-  std::shared_ptr<const PartitionSnapshot> tables;
-  {
-    // Brief version grab: ref the memtables and copy the partition's table
-    // set pointer, then probe everything lock-free. A flush or group commit
-    // in flight never blocks a reader past this block.
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot = options.snapshot != 0 ? options.snapshot : last_sequence_;
-    mem = mem_;
-    mem->Ref();
-    if (imm_ != nullptr) {
-      imm = imm_;
-      imm->Ref();
-    }
-    Partition* partition = FindPartition(key);
-    if (partition != nullptr) {
-      partition->NoteRead();
-      tables = partition->current();
-    }
-  }
+  const std::shared_ptr<const SuperVersion> sv = GrabReadView(&snapshot);
+  if (options.snapshot != 0) snapshot = options.snapshot;
+  Partition* partition = FindPartition(key);
+  partition->NoteRead();
+  const PartitionSnapshot& tables = *sv->parts[partition->index()];
 
   LookupKey lkey(key, snapshot);
   Status result = Status::NotFound();
@@ -2354,13 +2346,13 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   std::string local_value;
   Status probe_status;
   ReadProbeStats probe;
-  if (mem->Get(lkey, &local_value, &probe_status)) {
+  if (sv->mem->Get(lkey, &local_value, &probe_status)) {
     answered = true;
     source = ReadSource::kMemtable;
     result = probe_status;
   }
-  if (!answered && imm != nullptr &&
-      imm->Get(lkey, &local_value, &probe_status)) {
+  if (!answered && sv->imm != nullptr &&
+      sv->imm->Get(lkey, &local_value, &probe_status)) {
     answered = true;
     source = ReadSource::kMemtable;
     result = probe_status;
@@ -2369,17 +2361,13 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // gauge; PM-resident level-0 probes never touch the SSD queue.
   const bool ssd_l0 =
       track_client_io_ && options_.l0_layout == L0Layout::kSstable;
-  if (!answered && tables != nullptr) {
+  if (!answered) {
     ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
-    for (const auto& table : tables->unsorted) {
+    for (const auto& table : tables.unsorted) {
       bool found = false;
       Status s = L0TableGet(*table, icmp_, lkey, &local_value, &found,
                             &probe_status, &probe);
-      if (!s.ok()) {
-        mem->Unref();
-        if (imm != nullptr) imm->Unref();
-        return s;
-      }
+      if (!s.ok()) return s;
       if (found) {
         answered = true;
         source = ReadSource::kPmLevel0;
@@ -2388,35 +2376,27 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       }
     }
   }
-  if (!answered && tables != nullptr && !tables->sorted_run.empty()) {
+  if (!answered && !tables.sorted_run.empty()) {
     ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
     bool found = false;
-    Status s = RunGet(tables->sorted_run, icmp_, lkey, &local_value, &found,
+    Status s = RunGet(tables.sorted_run, icmp_, lkey, &local_value, &found,
                       &probe_status, &probe);
-    if (!s.ok()) {
-      mem->Unref();
-      if (imm != nullptr) imm->Unref();
-      return s;
-    }
+    if (!s.ok()) return s;
     if (found) {
       answered = true;
       source = ReadSource::kPmLevel0;
       result = probe_status;
     }
   }
-  if (!answered && tables != nullptr && !tables->ssd_runs.empty()) {
+  if (!answered && !tables.ssd_runs.empty()) {
     // SSD runs always live on the SSD; probe newest-first — the first run
     // holding any version of the key is authoritative.
     ScopedExternalIo io(track_client_io_ ? model_ : nullptr, IoClass::kClient);
-    for (const SsdRun& run : tables->ssd_runs) {
+    for (const SsdRun& run : tables.ssd_runs) {
       bool found = false;
       Status s = RunGet(run.tables, icmp_, lkey, &local_value, &found,
                         &probe_status, &probe);
-      if (!s.ok()) {
-        mem->Unref();
-        if (imm != nullptr) imm->Unref();
-        return s;
-      }
+      if (!s.ok()) return s;
       if (found) {
         answered = true;
         source = ReadSource::kSsdLevel1;
@@ -2425,9 +2405,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       }
     }
   }
-
-  mem->Unref();
-  if (imm != nullptr) imm->Unref();
 
   if (answered && result.ok()) {
     value->swap(local_value);
@@ -2450,22 +2427,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   return result;
 }
 
-std::vector<Iterator*> DBImpl::CollectInternalIterators() {
-  // Caller holds mu_. Partitions are range-disjoint, so their tables go
-  // behind one lazy concatenating iterator: a scan pays for the partition
-  // under its cursor, not the whole database.
-  std::vector<Iterator*> children;
-  children.push_back(mem_->NewIterator());
-  if (imm_ != nullptr) children.push_back(imm_->NewIterator());
-  std::vector<std::shared_ptr<const PartitionSnapshot>> parts;
-  parts.reserve(partitions_.size());
-  for (const auto& partition : partitions_) {
-    parts.push_back(partition->current());
-  }
-  children.push_back(NewPartitionConcatIterator(&icmp_, std::move(parts)));
-  return children;
-}
-
 uint64_t DBImpl::GetSnapshot() {
   std::lock_guard<std::mutex> lock(mu_);
   live_snapshots_.insert(last_sequence_);
@@ -2485,11 +2446,11 @@ void DBImpl::ReleaseSnapshot(uint64_t snapshot) {
 WritePressure DBImpl::GetWritePressure() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!bg_error_.ok()) return WritePressure::kStall;
-  if (imm_ == nullptr) return WritePressure::kNone;
+  if (sv_->imm == nullptr) return WritePressure::kNone;
   // A flush is in flight: grade by how full the active memtable is, the
   // same thresholds MakeRoomForWrite applies (slowdown at the watermark,
   // hard stall when full).
-  const size_t usage = mem_->ApproximateMemoryUsage();
+  const size_t usage = sv_->mem->ApproximateMemoryUsage();
   const size_t limit = memtable_limit_.load(std::memory_order_relaxed);
   if (usage >= limit) return WritePressure::kStall;
   if (usage >=
@@ -2516,8 +2477,8 @@ bool DBImpl::GetProperty(const std::string& property, uint64_t* value) {
 void DBImpl::LevelShapeLocked(uint32_t level, uint64_t* runs, uint64_t* files,
                               uint64_t* bytes) const {
   *runs = *files = *bytes = 0;
-  for (const auto& partition : partitions_) {
-    const PartitionSnapshot& tables = *partition->current();
+  for (const auto& part : sv_->parts) {
+    const PartitionSnapshot& tables = *part;
     if (level == 0) {
       // PM level-0: each unsorted table is its own (single-table) run, the
       // sorted run is one more.

@@ -9,11 +9,12 @@
 //     under the mutex only after the whole group is in the memtable, so
 //     readers never observe a torn group.
 //   * Memtable flush runs on a background thread: MakeRoomForWrite switches
-//     mem_ -> imm_ and schedules the PM-table build on a one-thread pool;
+//     mem -> imm and schedules the PM-table build on a one-thread pool;
 //     writers are backpressured (slowdown, then hard stall) instead of
-//     building tables inline. Flush completion installs the level-0 tables
-//     under a short critical section, wakes stalled writers, and hands the
-//     Eq. 1/2/3 compaction triggers to the compaction scheduler.
+//     building tables inline. Flush completion publishes, under a short
+//     critical section, one read view without imm and with the new level-0
+//     tables, wakes stalled writers, and hands the Eq. 1/2/3 compaction
+//     triggers to the compaction scheduler.
 //   * Algorithm 1 (internal + major compaction) runs on the DEDICATED
 //     CompactionScheduler pool (Options::compaction_workers threads; 1 by
 //     default), never on the flush thread: a check takes each partition's
@@ -30,12 +31,17 @@
 //     pool-wide barrier, so they observe quiesced partitions without
 //     claiming. Only a claim-holding check (or an exclusive manual job)
 //     removes tables from a partition; the flush thread only prepends.
-//   * Each partition publishes one immutable table set: every change copies
-//     Partition::current() under mu_, edits the copy and Install()s it (the
-//     publish rule in partition.h).
-//   * Readers grab {mem, imm, table-set pointers, snapshot} under a brief
-//     mutex hold and probe everything lock-free afterwards, so neither a
+//   * The read view is ONE immutable SuperVersion {mem, imm, every
+//     partition's table set} (version.h), held in sv_ under mu_. Every
+//     change — memtable switch, recovery, flush, compaction install —
+//     goes through InstallSuperVersionLocked: copy *sv_, edit the copy, swap
+//     it in under mu_ (the publish rule beside the type). Nothing else
+//     stores memtables or table sets.
+//   * Readers copy {last_sequence_, sv_} under a brief mutex hold
+//     (GrabReadView) and probe everything lock-free afterwards, so neither a
 //     flush nor a compaction in flight ever blocks a Get past that grab.
+//     Partition routing and the read counters need no lock: partition
+//     ranges are fixed after Init and the counters are atomic.
 //   * The major-compaction engine additionally parallelizes internally with
 //     its own worker threads + coroutines.
 
@@ -45,6 +51,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -168,8 +175,6 @@ class DBImpl final : public DB {
   void SetDynamicTauT(uint64_t bytes);
 
  private:
-  friend class DBUserIterator;
-
   struct RecordedRead;
 
   /// What a queued writer asks the leader to do. Txn ops form their own
@@ -216,9 +221,13 @@ class DBImpl final : public DB {
   Status CarryTxnRecordsLocked();
 
   // ---- startup ----
-  Status RecoverPartitions(const ManifestState& state);
-  /// Replays every WAL file numbered >= `floor` (ascending) into mem_ and
-  /// garbage-collects older, already-flushed logs.
+  /// Opens the manifest's partitions into partitions_ and their table sets,
+  /// index-aligned, into `*parts`.
+  Status RecoverPartitions(
+      const ManifestState& state,
+      std::vector<std::shared_ptr<const PartitionSnapshot>>* parts);
+  /// Replays every WAL file numbered >= `floor` (ascending) into the active
+  /// memtable and garbage-collects older, already-flushed logs.
   Status ReplayWals(uint64_t floor);
   Status NewWal();
 
@@ -227,13 +236,13 @@ class DBImpl final : public DB {
   /// active memtable has room, switching it out + scheduling a background
   /// flush when full (or `force`), applying slowdown/stop backpressure.
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
-  /// mu_ held, imm_ == nullptr: mem_ -> imm_, new WAL, schedule the flush.
+  /// mu_ held, no imm: mem -> imm, new WAL, schedule the flush.
   Status SwitchMemTableLocked();
   /// Coalesces writers_ [front, ...] into one batch; *sync becomes the OR
   /// of every member's sync flag, *num_members the group width. mu_ held.
   WriteBatch* BuildBatchGroup(WriterState** last_writer, bool* sync,
                               size_t* num_members);
-  /// Runs on flush_pool_: builds per-partition L0 tables from imm_ without
+  /// Runs on flush_pool_: builds per-partition L0 tables from imm without
   /// the mutex, installs them + commits the manifest under it, wakes
   /// stalled writers, then enqueues the compaction triggers to the
   /// scheduler.
@@ -280,8 +289,8 @@ class DBImpl final : public DB {
   };
   /// The "classic" major-compaction job: level-0 plus the whole run stack
   /// merge into one level-1 run (what every pre-picker compaction did, and
-  /// still the shape of the conventional-policy and manual paths).
-  static MajorJob FullCollapseJob(Partition* partition);
+  /// still the shape of the conventional-policy and manual paths). mu_ held.
+  MajorJob FullCollapseJobLocked(Partition* partition) const;
   /// Snapshot of every partition for the picker; `ours` is this check's
   /// claimed set (claimable for job purposes even though marked claimed).
   /// mu_ held.
@@ -303,6 +312,11 @@ class DBImpl final : public DB {
 
   Status PersistManifest();
 
+  /// mu_ held. The one publish step for sv_: copies the current
+  /// SuperVersion, lets `edit` change the copy and swaps it in.
+  void InstallSuperVersionLocked(
+      const std::function<void(SuperVersion*)>& edit);
+
   /// mu_ held. Aggregate shape of one LSM level across partitions: level 0
   /// is the PM side (each unsorted table is one run, the sorted run one
   /// more); level >= 1 counts the SSD runs carrying that level tag.
@@ -310,11 +324,14 @@ class DBImpl final : public DB {
                         uint64_t* bytes) const;
 
   // ---- read path ----
-  Partition* FindPartition(const Slice& user_key);
+  /// The partition whose range holds `user_key`. Lock-free (ranges are
+  /// fixed after Init) and never null (the last range is unbounded).
+  Partition* FindPartition(const Slice& user_key) const;
   SequenceNumber OldestLiveSnapshot() const;
-
-  /// Builds the children for a merged internal iterator at a snapshot.
-  std::vector<Iterator*> CollectInternalIterators();
+  /// The read grab: copies last_sequence_ into `*last_sequence` and the
+  /// published SuperVersion, together under one brief mu_ hold.
+  std::shared_ptr<const SuperVersion> GrabReadView(
+      SequenceNumber* last_sequence);
 
   Options options_;
   std::string dbname_;
@@ -341,28 +358,29 @@ class DBImpl final : public DB {
   std::unique_ptr<CompactionPicker> picker_;
 
   std::mutex mu_;
-  MemTable* mem_ = nullptr;
-  MemTable* imm_ = nullptr;  // being flushed in the background, else nullptr
+  /// The published read view. Init publishes the first one; after that
+  /// only InstallSuperVersionLocked replaces it.
+  std::shared_ptr<const SuperVersion> sv_;
   std::unique_ptr<WritableFile> wal_file_;
   std::unique_ptr<wal::Writer> wal_;
   uint64_t wal_number_ = 0;
   /// WAL numbers (ascending) whose data is not yet durable in level-0
   /// tables. The manifest records the front; recovery replays every log
   /// >= it. With a background flush in flight there are up to two entries
-  /// beyond the active log (the imm_'s logs await their flush commit).
+  /// beyond the active log (the imm's logs await their flush commit).
   std::vector<uint64_t> live_wals_;
-  /// The subset of live_wals_ feeding imm_; deleted when its flush commits.
+  /// The subset of live_wals_ feeding imm; deleted when its flush commits.
   std::vector<uint64_t> imm_wals_;
   SequenceNumber last_sequence_ = 0;
   /// Every sequence <= this is durable in level-0 tables (memtables flush
-  /// in sequence order, so the flushed imm_'s ceiling is a true watermark).
+  /// in sequence order, so the flushed imm's ceiling is a true watermark).
   /// Persisted in the manifest and used as WAL replay's re-apply floor for
   /// carried txn commit fences. last_sequence_ is NOT a substitute: the
   /// manifest records it ahead of any flush of the covered data (Init,
   /// sibling-partition flushes), and using it as the floor silently drops
   /// committed-but-unflushed txn payloads on a second recovery.
   SequenceNumber flushed_sequence_ = 0;
-  /// last_sequence_ captured when mem_ was frozen into imm_; becomes
+  /// last_sequence_ captured when mem was frozen into imm; becomes
   /// flushed_sequence_ when that flush commits.
   SequenceNumber imm_ceiling_ = 0;
 
@@ -402,7 +420,7 @@ class DBImpl final : public DB {
 
   // Background flush.
   std::unique_ptr<ThreadPool> flush_pool_;  // one thread
-  std::condition_variable flush_done_cv_;   // imm_ drained / bg error
+  std::condition_variable flush_done_cv_;   // imm drained / bg error
   Status bg_error_;  // sticky fatal background error (flush/WAL/manifest
                      // failures ONLY — compaction failures are retryable and
                      // stay inside the scheduler)
@@ -439,7 +457,9 @@ class DBImpl final : public DB {
   std::unique_ptr<mem::MemoryBudget> mem_budget_;
   std::unique_ptr<mem::MemoryArbiter> arbiter_;
 
-  std::vector<std::unique_ptr<Partition>> partitions_;  // ascending ranges
+  /// Ascending ranges, fixed after Init; partitions_[i]'s table set is
+  /// sv_->parts[i].
+  std::vector<std::unique_ptr<Partition>> partitions_;
   uint64_t next_partition_id_ = 1;
 
   std::multiset<uint64_t> live_snapshots_;

@@ -203,12 +203,19 @@ Iterator* NewUserIterator(Iterator* internal,
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SequenceNumber snapshot =
-      options.snapshot != 0 ? options.snapshot : last_sequence_;
-  Iterator* merged =
-      NewMergingIterator(&icmp_, CollectInternalIterators());
-  return new DBUserIteratorImpl(merged, &icmp_, snapshot);
+  SequenceNumber snapshot;
+  const std::shared_ptr<const SuperVersion> sv = GrabReadView(&snapshot);
+  if (options.snapshot != 0) snapshot = options.snapshot;
+  // The children hold their own references (memtable refs, table-set
+  // pointers), so the iterator outlives `sv`. Partitions are range-disjoint,
+  // so their tables go behind one lazy concatenating iterator: a scan pays
+  // for the partition under its cursor, not the whole database.
+  std::vector<Iterator*> children;
+  children.push_back(sv->mem->NewIterator());
+  if (sv->imm != nullptr) children.push_back(sv->imm->NewIterator());
+  children.push_back(NewPartitionConcatIterator(&icmp_, sv->parts));
+  return new DBUserIteratorImpl(NewMergingIterator(&icmp_, std::move(children)),
+                                &icmp_, snapshot);
 }
 
 }  // namespace pmblade

@@ -1,6 +1,6 @@
 // Partition: one key-range shard of the partitioned LSM-tree (Section III).
-// A partition publishes one immutable table set (PartitionSnapshot in
-// version.h):
+// Its table set is not stored here: it is slot index() of the DB's published
+// SuperVersion (version.h), an immutable PartitionSnapshot holding
 //   * a list of UNSORTED level-0 tables (newest first, mutually
 //     overlapping — flushed memtable segments),
 //   * one SORTED level-0 run (non-overlapping tables, the output of the
@@ -10,15 +10,15 @@
 //     keeps at most one run, tagged level 1 — the paper's single level-1
 //     run; tiered / lazy-leveling policies stack several runs whose level
 //     tags are non-decreasing with depth.
-// It also owns the counters the cost models consume (n_i, n_i^r, n_i^w,
-// n_i^u, reads/sec), reset whenever the partition is compacted.
+// A Partition holds what does not change with the table set: its fixed key
+// range and the counters the cost models consume (n_i^r, n_i^w, n_i^u,
+// reads/sec), reset whenever the partition is compacted.
 
 #ifndef PMBLADE_CORE_PARTITION_H_
 #define PMBLADE_CORE_PARTITION_H_
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,15 +33,16 @@ namespace pmblade {
 class Partition {
  public:
   /// `begin` inclusive, `end` exclusive over user keys; empty begin = -inf,
-  /// empty end = +inf.
-  Partition(uint64_t id, std::string begin, std::string end, Clock* clock)
-      : id_(id), begin_(std::move(begin)), end_(std::move(end)),
-        clock_(clock),
-        current_(std::make_shared<const PartitionSnapshot>(
-            PartitionSnapshot{begin_, end_, {}, {}, {}})),
+  /// empty end = +inf. `index` is the partition's position in the DB's
+  /// ascending partition list, and so its slot in SuperVersion::parts.
+  Partition(uint64_t id, size_t index, std::string begin, std::string end,
+            Clock* clock)
+      : id_(id), index_(index), begin_(std::move(begin)),
+        end_(std::move(end)), clock_(clock),
         counter_epoch_nanos_(clock->NowNanos()) {}
 
   uint64_t id() const { return id_; }
+  size_t index() const { return index_; }
   const std::string& begin_key() const { return begin_; }
   const std::string& end_key() const { return end_; }
 
@@ -51,32 +52,12 @@ class Partition {
     return true;
   }
 
-  // ---- table sets ----
-  // Publish rule: current() and Install() are called under the DB mutex,
-  // and a published set is never edited in place.
-  //   * Readers copy the current() pointer and probe lock-free; the
-  //     deferred L0Table::Destroy (storage freed at last ref drop) keeps a
-  //     held set's tables valid across later installs.
-  //   * Every change (flush, recovery, compaction install) copies
-  //     *current(), edits the copy and Install()s it.
-  //   * A compaction merges `before = current()` with the mutex released,
-  //     then edits a copy of the current() of install time, not of
-  //     `before`: a flush may have prepended tables meanwhile, and they stay
-  //     above the output. RemoveTables drops exactly `before`'s inputs.
-  //     Only the worker that CLAIMED the partition (db_impl.h) removes
-  //     tables or edits the sorted run and SSD stack.
-  const std::shared_ptr<const PartitionSnapshot>& current() const {
-    return current_;
-  }
-  void Install(std::shared_ptr<const PartitionSnapshot> next) {
-    current_ = std::move(next);
-  }
-
   /// Removes exactly the tables in `snapshot` (by table identity) from
   /// `from`, preserving the order of everything else. Install step of a
   /// compaction: `from` is a copy of the current set, `snapshot` the
   /// compaction's inputs; tables that arrived since (flushed tables at the
-  /// front of unsorted) are untouched.
+  /// front of unsorted) are untouched. See SuperVersion for the publish
+  /// rule.
   static void RemoveTables(std::vector<L0TableRef>* from,
                            const std::vector<L0TableRef>& snapshot) {
     from->erase(std::remove_if(from->begin(), from->end(),
@@ -90,23 +71,23 @@ class Partition {
   }
 
   // ---- cost-model counters ----
-  // Lock-free: readers bump NoteRead under the DB mutex, but the group-commit
-  // leader runs NoteWrite outside it (the Eq. 2 probe happens in the
-  // unlocked WAL/memtable section of the write pipeline).
+  // Lock-free: Get bumps NoteRead and the group-commit leader runs NoteWrite
+  // without the DB mutex (the Eq. 2 probe happens in the unlocked
+  // WAL/memtable section of the write pipeline).
   void NoteRead() { reads_.fetch_add(1, std::memory_order_relaxed); }
   void NoteWrite(bool is_update) {
     writes_.fetch_add(1, std::memory_order_relaxed);
     if (is_update) updates_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Snapshot of counters in the cost model's shape.
-  PartitionCounters Counters() const {
+  /// Snapshot of counters in the cost model's shape; the table counts and
+  /// s_i come from `tables`, this partition's published set.
+  PartitionCounters Counters(const PartitionSnapshot& tables) const {
     PartitionCounters counters;
     counters.partition_id = id_;
-    counters.unsorted_tables =
-        static_cast<uint32_t>(current_->unsorted.size());
-    counters.sorted_tables = static_cast<uint32_t>(current_->sorted_run.size());
-    counters.size_bytes = current_->L0Bytes();
+    counters.unsorted_tables = static_cast<uint32_t>(tables.unsorted.size());
+    counters.sorted_tables = static_cast<uint32_t>(tables.sorted_run.size());
+    counters.size_bytes = tables.L0Bytes();
     counters.reads = reads_.load(std::memory_order_relaxed);
     counters.writes = writes_.load(std::memory_order_relaxed);
     counters.updates = updates_.load(std::memory_order_relaxed);
@@ -128,12 +109,10 @@ class Partition {
 
  private:
   uint64_t id_;
+  size_t index_;
   std::string begin_;
   std::string end_;
   Clock* clock_;
-
-  /// The published table set; guarded by the DB mutex.
-  std::shared_ptr<const PartitionSnapshot> current_;
 
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};

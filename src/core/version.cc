@@ -1,6 +1,7 @@
 #include "core/version.h"
 
 #include "compaction/merging_iterator.h"
+#include "memtable/skiplist_memtable.h"
 
 namespace pmblade {
 
@@ -243,6 +244,13 @@ class PartitionConcatIterator final : public Iterator {
 };
 
 }  // namespace
+
+std::shared_ptr<MemTable> SuperVersion::NewMemTable(
+    const InternalKeyComparator& icmp) {
+  MemTable* mem = new MemTable(icmp);
+  mem->Ref();
+  return std::shared_ptr<MemTable>(mem, [](MemTable* m) { m->Unref(); });
+}
 
 Iterator* NewPartitionConcatIterator(
     const InternalKeyComparator* icmp,

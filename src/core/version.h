@@ -1,5 +1,6 @@
-// Version: a partition's immutable table set plus the iterators over table
-// runs and read-path lookups shared by the DB implementation.
+// Version: the DB's published read view (SuperVersion) and a partition's
+// immutable table set, plus the iterators over table runs and read-path
+// lookups shared by the DB implementation.
 
 #ifndef PMBLADE_CORE_VERSION_H_
 #define PMBLADE_CORE_VERSION_H_
@@ -13,6 +14,8 @@
 #include "util/iterator.h"
 
 namespace pmblade {
+
+class MemTable;
 
 /// Concatenating iterator over a RUN: a vector of non-overlapping tables in
 /// ascending key order. Seek binary-searches table boundaries, then the
@@ -43,10 +46,10 @@ struct SsdRun {
   }
 };
 
-/// One partition's table set as published by Partition::Install. A
+/// One partition's table set, published as one slot of a SuperVersion. A
 /// published set is immutable: readers and compactions hold it by
 /// shared_ptr and probe it without the DB mutex, and a change publishes an
-/// edited copy instead (see partition.h).
+/// edited copy instead (see SuperVersion below).
 struct PartitionSnapshot {
   std::string begin_key;  // user keys; empty = unbounded
   std::string end_key;
@@ -74,6 +77,37 @@ struct PartitionSnapshot {
   uint32_t MaxSsdLevel() const {
     return ssd_runs.empty() ? 0 : ssd_runs.back().level;
   }
+};
+
+/// Everything a read consults, published as one immutable value: the active
+/// memtable, the memtable being flushed (or nullptr) and every partition's
+/// table set, aligned by index with the DB's partition list.
+///
+/// Publish rule: the DB holds the current SuperVersion by shared_ptr under
+/// its mutex, and a published SuperVersion is never edited in place.
+///   * A reader copies the pointer under the mutex and probes everything
+///     lock-free afterwards. The memtable references and the deferred
+///     L0Table::Destroy (storage freed at the last ref drop) keep a held
+///     SuperVersion's memtables and tables valid across later installs.
+///   * Every change (memtable switch, recovery, flush, compaction install)
+///     copies the current SuperVersion, edits the copy and swaps it in, all
+///     under the mutex.
+///   * A compaction merges a partition's set `before` with the mutex
+///     released, then edits the set current at install time, not `before`:
+///     a flush may have prepended tables meanwhile, and they stay above the
+///     output. Partition::RemoveTables drops exactly `before`'s inputs. Only
+///     the worker that CLAIMED the partition (db_impl.h) removes tables or
+///     edits the sorted run and SSD stack.
+struct SuperVersion {
+  std::shared_ptr<MemTable> mem;
+  std::shared_ptr<MemTable> imm;  // being flushed, else nullptr
+  std::vector<std::shared_ptr<const PartitionSnapshot>> parts;
+
+  /// A fresh memtable for `mem`. Its one reference is taken here and
+  /// dropped when the last SuperVersion holding it is destroyed; iterators
+  /// take their own.
+  static std::shared_ptr<MemTable> NewMemTable(
+      const InternalKeyComparator& icmp);
 };
 
 /// Lazy concatenating iterator over range-disjoint partitions: only the

@@ -300,9 +300,10 @@ Status PmPool::Free(uint64_t id) {
   return Status::OK();
 }
 
-char* PmPool::DataFor(uint64_t id) const {
+char* PmPool::DataFor(uint64_t id, uint64_t* size) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(id);
+  if (size != nullptr) *size = it == objects_.end() ? 0 : it->second.size;
   if (it == objects_.end()) return nullptr;
   return base_ + data_start_ + it->second.offset;
 }

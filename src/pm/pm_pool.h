@@ -113,8 +113,9 @@ class PmPool {
   /// Frees a live object; its space returns to the extent map.
   Status Free(uint64_t id);
 
-  /// Pointer to a live object's bytes (nullptr if unknown id).
-  char* DataFor(uint64_t id) const;
+  /// Pointer to a live object's bytes (nullptr if unknown id). When `size`
+  /// is given, it receives the object's allocated size (0 if unknown id).
+  char* DataFor(uint64_t id, uint64_t* size = nullptr) const;
 
   /// All live objects, ascending id. Recovery entry point.
   std::vector<ObjectInfo> ListObjects() const;

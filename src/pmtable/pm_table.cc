@@ -38,20 +38,24 @@ using namespace pmtable_format;  // NOLINT
 
 Status PmTable::Open(PmPool* pool, uint64_t id,
                      std::shared_ptr<PmTable>* table) {
-  char* data = pool->DataFor(id);
+  uint64_t object_size = 0;
+  char* data = pool->DataFor(id, &object_size);
   if (data == nullptr) {
     return Status::NotFound("pm table: no such pool object");
+  }
+  if (object_size < kHeaderSize) {
+    return Status::Corruption("pm table: pool object smaller than header");
   }
   std::shared_ptr<PmTable> t(new PmTable());
   t->pool_ = pool;
   t->id_ = id;
   t->base_ = data;
-  PMBLADE_RETURN_IF_ERROR(t->Validate());
+  PMBLADE_RETURN_IF_ERROR(t->Validate(object_size));
   *table = std::move(t);
   return Status::OK();
 }
 
-Status PmTable::Validate() {
+Status PmTable::Validate(uint64_t object_size) {
   const char* h = base_;
   if (memcmp(h, kMagic, 4) != 0) {
     return Status::Corruption("pm table: bad magic");
@@ -72,6 +76,9 @@ Status PmTable::Validate() {
 
   if (prefix_width_ == 0 || prefix_width_ > 64 || group_size_ == 0) {
     return Status::Corruption("pm table: bad geometry");
+  }
+  if (size_bytes_ > object_size) {
+    return Status::Corruption("pm table: image larger than its pool object");
   }
   // Layers are laid out in order inside the image, the prefix layer and
   // group index sized for num_groups_.

@@ -53,8 +53,8 @@ struct PmTableOptions {
 class PmTable : public L0Table,
                 public std::enable_shared_from_this<PmTable> {
  public:
-  /// Opens a PM table stored as pool object `id`. Validates the header and
-  /// caches boundary keys in DRAM.
+  /// Opens a PM table stored as pool object `id`. Validates the header
+  /// against the object's size and caches boundary keys in DRAM.
   static Status Open(PmPool* pool, uint64_t id,
                      std::shared_ptr<PmTable>* table);
 
@@ -83,7 +83,9 @@ class PmTable : public L0Table,
   friend class PmTableIter;
   PmTable() = default;
 
-  Status Validate();
+  /// Checks every layout field the read paths trust; the image must fit in
+  /// its `object_size`-byte pool object.
+  Status Validate(uint64_t object_size);
 
   /// One decoded group-index entry.
   struct Group {

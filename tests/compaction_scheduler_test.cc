@@ -407,7 +407,7 @@ TEST_F(CompactionSchedulingTest, StalledWriterResumesWhileCompactionRuns) {
 
   // Engineer a hard stall while the compaction is pinned: hold the NEXT
   // background flush until the writer is observed stalling on a full
-  // memtable + full imm_.
+  // memtable + full imm.
   const uint64_t base_stalls = Prop(db_.get(), "pmblade.write-stalls");
   std::atomic<bool> hold_flush{true};
   sp->SetCallBack("DBImpl::BackgroundFlush:Start", [&](void*) {
@@ -420,7 +420,7 @@ TEST_F(CompactionSchedulingTest, StalledWriterResumesWhileCompactionRuns) {
 
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
-    // > 2 memtables' worth: the second rotation finds imm_ still flushing
+    // > 2 memtables' worth: the second rotation finds imm still flushing
     // (held above) and hard-stalls until that flush commits.
     for (int i = 0; i < 40; ++i) {
       ASSERT_TRUE(

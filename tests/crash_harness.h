@@ -280,10 +280,9 @@ class CrashHarness {
     const uint64_t pm_seed = rnd_.Next();
     const double pm_survival = rnd_.Uniform(3) * 0.5;  // 0, .5 or 1
 
+    // A release build has no sync points: between-op cuts only.
 #ifdef PMBLADE_SYNC_POINTS
     const bool use_syncpoint = rnd_.Uniform(10) < 6;
-#else
-    const bool use_syncpoint = false;  // release build: between-op cuts only
 #endif
     const CrashSite* site = nullptr;
     std::atomic<int> countdown{0};

@@ -158,8 +158,12 @@ TEST_P(DbModelTest, ModelSurvivesReopen) {
       model[key] = value;
       ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
     }
-    if (op % 400 == 399) ASSERT_TRUE(db_->FlushMemTable().ok());
-    if (op % 700 == 699) ASSERT_TRUE(db_->CompactToLevel1(true).ok());
+    if (op % 400 == 399) {
+      ASSERT_TRUE(db_->FlushMemTable().ok());
+    }
+    if (op % 700 == 699) {
+      ASSERT_TRUE(db_->CompactToLevel1(true).ok());
+    }
   }
 
   db_.reset();
@@ -214,7 +218,7 @@ class PartitionConcatTest : public ::testing::Test {
     return t;
   }
 
-  /// Publishes each table set the way Partition::Install does.
+  /// Publishes each table set the way a SuperVersion holds it.
   static std::vector<std::shared_ptr<const PartitionSnapshot>> Publish(
       std::vector<PartitionSnapshot> parts) {
     std::vector<std::shared_ptr<const PartitionSnapshot>> published;

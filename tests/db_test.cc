@@ -181,7 +181,9 @@ TEST_F(DBTest, IteratorFullScan) {
     std::string value = "v" + std::to_string(i);
     model[key] = value;
     ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
-    if (i % 100 == 99) ASSERT_TRUE(db_->FlushMemTable().ok());
+    if (i % 100 == 99) {
+      ASSERT_TRUE(db_->FlushMemTable().ok());
+    }
   }
   std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
   it->SeekToFirst();
@@ -254,7 +256,9 @@ TEST_F(DBTest, IteratorBackward) {
   for (; it->Valid(); it->Prev()) {
     EXPECT_LT(it->key().ToString(), prev);
     prev = it->key().ToString();
-    if (prev == "k05") EXPECT_EQ(it->value().ToString(), "fresh");
+    if (prev == "k05") {
+      EXPECT_EQ(it->value().ToString(), "fresh");
+    }
     EXPECT_NE(prev, "k06");  // deleted
     ++seen;
   }

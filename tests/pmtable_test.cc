@@ -321,7 +321,9 @@ TEST_F(PmTableEnv, OpenRejectsDamagedLayoutFields) {
   ASSERT_TRUE(builder.Finish(&table).ok());
   ASSERT_GE(table->num_groups(), 4u);
   const uint64_t id = table->id();
-  char* image = pool_->DataFor(id);
+  uint64_t object_size = 0;
+  char* image = pool_->DataFor(id, &object_size);
+  ASSERT_GE(object_size, table->size_bytes());
   const std::string pristine(image, table->size_bytes());
   const uint32_t gindex = DecodeFixed32(image + kHeaderGroupIndexOff);
   const uint32_t entry_off = DecodeFixed32(image + kHeaderEntryOff);
@@ -357,6 +359,8 @@ TEST_F(PmTableEnv, OpenRejectsDamagedLayoutFields) {
       {"layer offsets not ascending", {{kHeaderPrefixOff, gindex + 1}}},
       {"entry layer past size", {{kHeaderEntryOff, size + 1}}},
       {"group index overlaps the entry layer", {{kHeaderEntryOff, gindex + 8}}},
+      {"size beyond object",
+       {{kHeaderSizeOff, static_cast<uint32_t>(object_size) + 4096}}},
   };
   for (const Damage& d : damages) {
     for (const Field& f : d.fields) SetField(image, f.offset, f.value);
@@ -367,6 +371,13 @@ TEST_F(PmTableEnv, OpenRejectsDamagedLayoutFields) {
   }
   std::shared_ptr<PmTable> reopened;
   EXPECT_TRUE(PmTable::Open(pool_.get(), id, &reopened).ok());
+
+  // A PM-table object too small to hold the 64-byte header.
+  PmPool::ObjectInfo info;
+  char* tiny = nullptr;
+  ASSERT_TRUE(pool_->Allocate(32, kPmTableObject, &info, &tiny).ok());
+  memcpy(tiny, pristine.data(), 32);
+  EXPECT_TRUE(PmTable::Open(pool_.get(), info.id, &reopened).IsCorruption());
 }
 
 TEST_F(PmTableEnv, GetAndSeekReportTheSameMalformedEntry) {

@@ -245,8 +245,6 @@ class ShardedCrashHarness {
     cut.tear_last_block = cut.keep_unsynced && rnd_.Uniform(2) == 0;
 #ifdef PMBLADE_SYNC_POINTS
     const bool use_syncpoint = rnd_.Uniform(10) < 6;
-#else
-    const bool use_syncpoint = false;
 #endif
     const CrashSite* site = nullptr;
     std::atomic<int> countdown{0};
