@@ -936,95 +936,244 @@ Status DBImpl::WriteInternal(WriterState& w) {
     return w.status;
   }
 
-  // This thread is the group leader: it owns the WAL and the memtable until
-  // it pops itself off the queue, which is what makes the unlocked section
-  // below single-writer.
+  // This thread is the group leader: it owns the WAL, the memtable and the
+  // group scratch (group_, staged_, group_batch_) until it pops itself off
+  // the queue, which is what makes the unlocked section below
+  // single-writer.
+  const bool txn = w.kind != WriteKind::kBatch;
+  CollectWriteGroupLocked(&w);
+  bool inserts = !txn;
+  for (WriterState* m : group_) inserts |= m->kind == WriteKind::kTxnCommit;
   Status status;
-  WriterState* last_writer = &w;
-  if (w.kind != WriteKind::kBatch) {
-    // A txn op leads a txn group: every txn op queued directly behind it
-    // shares one WAL append run and one fsync. BuildBatchGroup still never
-    // coalesces a kBatch group into or past a txn op.
-    status = TxnGroupWriteLocked(lock, w, &last_writer);
+  if (inserts) {
+    // A group that inserts into the memtable needs room there (a force-flush
+    // marker only rotates it). MakeRoomForWrite may drop the lock, so collect
+    // again: writers that queued meanwhile join the group.
+    status = MakeRoomForWrite(lock, /*force=*/!txn && w.batch == nullptr);
+    CollectWriteGroupLocked(&w);
   } else {
-  status = MakeRoomForWrite(lock, /*force=*/w.batch == nullptr);
-  SequenceNumber last_sequence = last_sequence_;
-  if (status.ok() && w.batch != nullptr) {
-    bool group_sync = false;
-    size_t group_members = 0;
-    WriteBatch* group = BuildBatchGroup(&last_writer, &group_sync,
-                                        &group_members);
-    group->SetSequence(last_sequence + 1);
-    last_sequence += group->Count();
+    status = bg_error_;
+  }
+  // A group that never started fails its leader alone; every follower
+  // leads its own attempt next.
+  WriterState* last_writer = status.ok() ? group_.back() : &w;
 
+  // Stage one WAL record per unit of work under mu_: the coalesced batch
+  // group, or each txn op's own record. Reserved up front because a
+  // commit's payload points into its own element.
+  staged_.reserve(group_.size());
+  bool group_sync = false;
+  if (status.ok()) {
+    for (WriterState* m : group_) {
+      switch (m->kind) {
+        case WriteKind::kBatch:
+          if (m->batch == nullptr) break;  // force-flush marker: no record
+          if (staged_.empty()) {
+            // A lone batch is logged and inserted as is, without a copy.
+            staged_.emplace_back(m);
+            staged_.back().payload = m->batch;
+          } else {
+            // Switch to the scratch batch; the leader's own is untouched.
+            WriteBatch*& group = staged_.back().payload;
+            if (group != &group_batch_) {
+              group_batch_.Clear();
+              group_batch_.Append(*group);
+              group = &group_batch_;
+            }
+            group_batch_.Append(*m->batch);
+          }
+          break;
+        case WriteKind::kTxnPrepare:
+          staged_.emplace_back(m);
+          EncodePrepareRecord(m->txn_id, *m->participants, m->batch->rep(),
+                              &staged_.back().txn_record);
+          break;
+        case WriteKind::kTxnCommit: {
+          // An unknown txn or a repeated commit settles here, without IO
+          // and without a say in the group's fsync.
+          auto it = txns_.find(m->txn_id);
+          if (it == txns_.end()) {
+            m->own_status = true;
+            m->status = Status::InvalidArgument("commit of unknown txn");
+            continue;
+          }
+          if (it->second.committed) {
+            m->own_status = true;
+            m->status = Status::OK();
+            continue;
+          }
+          staged_.emplace_back(m);
+          StagedRecord& s = staged_.back();
+          s.commit_batch.SetContentsFrom(Slice(it->second.payload));
+          s.payload = &s.commit_batch;
+          break;  // the record carries the base sequence: encoded below
+        }
+        case WriteKind::kTxnRollback:
+          staged_.emplace_back(m);
+          EncodeRollbackRecord(m->txn_id, &staged_.back().txn_record);
+          break;
+      }
+      // One fsync covers the whole group: any member that wants durability
+      // upgrades everyone (a prepare always does).
+      group_sync |= m->sync;
+    }
+  }
+  // Every payload takes its sequences from one running cursor.
+  SequenceNumber last_sequence = last_sequence_;
+  bool has_payload = false;
+  for (StagedRecord& s : staged_) {
+    if (s.payload == nullptr) continue;
+    s.payload->SetSequence(last_sequence + 1);
+    if (s.writer->kind == WriteKind::kTxnCommit) {
+      EncodeCommitRecord(s.writer->txn_id, last_sequence + 1, &s.txn_record);
+    }
+    last_sequence += s.payload->Count();
+    has_payload = true;
+  }
+
+  if (!staged_.empty()) {
     // Only the leader switches memtables, so sv_ keeps `mem` alive while
     // the lock is released below.
     MemTable* mem = sv_->mem.get();
     bool sync_error = false;
+    // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
+    // memtable insert all run outside mu_: readers and queueing writers
+    // proceed concurrently.
+    lock.unlock();
     {
-      // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
-      // memtable insert all run outside mu_: readers and queueing writers
-      // proceed concurrently.
-      lock.unlock();
-      {
-        // The WAL append/fsync lands on the SSD: register one client op so
-        // the io-gate's q_cli gauge sees live foreground write pressure
-        // (no-op when the SimEnv already classifies this I/O).
-        ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
-                                IoClass::kClient);
-        status = wal_->AddRecord(group->rep());
-        const uint64_t append_ticket =
+      // The WAL append/fsync lands on the SSD: register one client op so
+      // the io-gate's q_cli gauge sees live foreground write pressure
+      // (no-op when the SimEnv already classifies this I/O).
+      ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
+                              IoClass::kClient);
+      uint64_t bytes = 0;
+      for (StagedRecord& s : staged_) {
+        const Slice record = s.txn_record.empty() ? Slice(s.payload->rep())
+                                                  : Slice(s.txn_record);
+        if (status.ok()) status = wal_->AddRecord(record);
+        bytes += record.size();
+        s.ticket =
             wal_append_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-        PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalAppend");
-        if (status.ok() && group_sync) {
-          const uint64_t sync_start = clock_->NowNanos();
-          status = wal_file_->Sync();
-          if (!status.ok()) {
-            sync_error = true;
-          } else {
-            wal_sync_counter_->Inc();
-            wal_synced_ticket_.store(append_ticket,
-                                     std::memory_order_relaxed);
+        if (!txn) {
+          PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalAppend");
+        } else if (status.ok() && s.writer->kind == WriteKind::kTxnCommit) {
+          PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
+        }
+      }
+      if (status.ok() && group_sync) {
+        const uint64_t sync_start = clock_->NowNanos();
+        status = wal_file_->Sync();
+        if (!status.ok()) {
+          sync_error = true;
+        } else {
+          wal_sync_counter_->Inc();
+          wal_synced_ticket_.store(staged_.back().ticket,
+                                   std::memory_order_relaxed);
+          if (!txn) {
             PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalSync");
-            if (events_.active()) {
-              events_.Emit(
-                  obs::Event(obs::EventType::kWalSync, clock_->NowNanos())
-                      .With("bytes", static_cast<double>(group->rep().size()))
-                      .With("writes", static_cast<double>(group_members))
-                      .With("duration_nanos",
-                            static_cast<double>(clock_->NowNanos() -
-                                                sync_start)));
+          }
+          for (StagedRecord& s : staged_) {
+            if (s.writer->kind == WriteKind::kTxnPrepare) {
+              PMBLADE_SYNC_POINT("DBImpl::PrepareTxn:AfterSync");
             }
+          }
+          if (events_.active()) {
+            events_.Emit(
+                obs::Event(obs::EventType::kWalSync, clock_->NowNanos())
+                    .With("bytes", static_cast<double>(bytes))
+                    .With("writes", static_cast<double>(group_.size()))
+                    .With("duration_nanos",
+                          static_cast<double>(clock_->NowNanos() -
+                                              sync_start)));
           }
         }
       }
-      if (status.ok()) {
-        NoteGroupWrites(*group, mem);
-        status = group->InsertInto(mem);
-      }
-      lock.lock();
     }
+    if (status.ok()) {
+      for (StagedRecord& s : staged_) {
+        if (s.payload == nullptr) continue;
+        NoteGroupWrites(*s.payload, mem);
+        status = s.payload->InsertInto(mem);
+        if (!status.ok()) break;
+      }
+    }
+    if (status.ok() && txn && events_.active()) {
+      for (StagedRecord& s : staged_) {
+        const WriterState& m = *s.writer;
+        obs::Event event(m.kind == WriteKind::kTxnPrepare
+                             ? obs::EventType::kTxnPrepare
+                         : m.kind == WriteKind::kTxnCommit
+                             ? obs::EventType::kTxnCommit
+                             : obs::EventType::kTxnRollback,
+                         clock_->NowNanos());
+        event.With("txn_id", static_cast<double>(m.txn_id));
+        if (m.kind == WriteKind::kTxnPrepare) {
+          event.With("participants",
+                     static_cast<double>(m.participants->size()))
+              .With("bytes", static_cast<double>(m.batch->rep().size()));
+        }
+        events_.Emit(event);
+      }
+    }
+    lock.lock();
     if (sync_error) {
       // The durability state of the WAL tail is unknown; fail every
       // subsequent write rather than acknowledge on a broken log.
       bg_error_ = status;
     }
     if (status.ok()) {
-      // Publish the group's sequences only now that every entry is in the
-      // memtable: a reader snapshotting last_sequence_ can never observe a
-      // torn group.
-      PMBLADE_SYNC_POINT("DBImpl::Write:BeforePublish");
-      last_sequence_ = last_sequence;
+      if (has_payload) {
+        // Publish the group's sequences only now that every entry is in
+        // the memtable: a reader snapshotting last_sequence_ can never
+        // observe a torn group.
+        if (!txn) {
+          PMBLADE_SYNC_POINT("DBImpl::Write:BeforePublish");
+        } else {
+          PMBLADE_SYNC_POINT("DBImpl::CommitTxn:BeforePublish");
+        }
+        last_sequence_ = last_sequence;
+      }
+      for (StagedRecord& s : staged_) {
+        const WriterState& m = *s.writer;
+        switch (m.kind) {
+          case WriteKind::kBatch:
+            break;
+          case WriteKind::kTxnPrepare: {
+            TxnEntry& entry = txns_[m.txn_id];
+            entry.participants = *m.participants;
+            entry.payload = m.batch->rep();
+            entry.committed = false;
+            entry.marker_ticket = s.ticket;
+            max_seen_txn_id_ = std::max(max_seen_txn_id_, m.txn_id);
+            txn_prepared_counter_->Inc();
+            break;
+          }
+          case WriteKind::kTxnCommit: {
+            auto it = txns_.find(m.txn_id);  // re-find: mu_ was released
+            if (it != txns_.end()) {
+              it->second.committed = true;
+              it->second.base_seq = s.payload->Sequence();
+              it->second.marker_ticket = s.ticket;
+            }
+            txn_committed_counter_->Inc();
+            break;
+          }
+          case WriteKind::kTxnRollback:
+            txns_.erase(m.txn_id);
+            txn_rolled_back_counter_->Inc();
+            break;
+        }
+      }
       group_counter_->Inc();
-      group_write_counter_->Inc(group_members);
-      group_size_hist_->Observe(group_members);
+      group_write_counter_->Inc(group_.size());
+      group_size_hist_->Observe(group_.size());
     }
-    if (group == &group_batch_) group_batch_.Clear();
-  }
+    staged_.clear();
   }
 
-  // Wake everyone the group covered (they return with the group status) and
-  // promote the next queued writer to leader.
+  // Wake everyone the group covered (they return with the group status
+  // unless staging settled their own) and promote the next queued writer
+  // to leader.
   while (true) {
     WriterState* ready = writers_.front();
     writers_.pop_front();
@@ -1037,7 +1186,34 @@ Status DBImpl::WriteInternal(WriterState& w) {
   }
   if (!writers_.empty()) writers_.front()->cv.notify_one();
 
-  return status;
+  return w.own_status ? w.status : status;
+}
+
+void DBImpl::CollectWriteGroupLocked(WriterState* leader) {
+  group_.clear();
+  group_.push_back(leader);
+  const bool txn = leader->kind != WriteKind::kBatch;
+  if (!txn && leader->batch == nullptr) return;  // a marker leads alone
+
+  // Cap a batch group at 1 MiB, and tighter when the leader itself is small
+  // so tiny writes aren't delayed behind megabytes of followers.
+  size_t size = txn ? 0 : leader->batch->ApproximateSize();
+  size_t max_size = kWriteGroupMaxBytes;
+  if (size <= (128 << 10) && size + (128 << 10) < max_size) {
+    max_size = size + (128 << 10);
+  }
+  for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
+    WriterState* candidate = *it;
+    // Batches and txn ops never share a group, and a force-flush marker
+    // leads its own turn.
+    if ((candidate->kind != WriteKind::kBatch) != txn) break;
+    if (!txn) {
+      if (candidate->batch == nullptr) break;
+      size += candidate->batch->ApproximateSize();
+      if (size > max_size) break;
+    }
+    group_.push_back(candidate);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1069,222 +1245,6 @@ Status DBImpl::RollbackTxn(const WriteOptions& options, uint64_t txn_id) {
   WriterState w(WriteKind::kTxnRollback, txn_id, nullptr,
                 options.sync || options_.sync_wal);
   return WriteInternal(w);
-}
-
-Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
-                                   WriterState& leader,
-                                   WriterState** last_writer) {
-  // Coalesce the leader with every txn op queued directly behind it — the
-  // txn mirror of BuildBatchGroup. Concurrent transactions' records share
-  // one WAL append run and at most ONE fsync; without this, N concurrent
-  // cross-shard writers pay N sequential prepare fsyncs per shard and 2PC
-  // loses the latency the parallel fan-out bought.
-  std::vector<WriterState*> group;
-  group.push_back(&leader);
-  for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
-    if ((*it)->kind == WriteKind::kBatch) break;
-    group.push_back(*it);
-  }
-  *last_writer = group.back();
-
-  bool has_commit = false;
-  for (WriterState* m : group) {
-    if (m->kind == WriteKind::kTxnCommit) has_commit = true;
-  }
-  if (has_commit) {
-    // Commits insert buffered payloads into the memtable; make room the
-    // same way a regular group does (may rotate the WAL, which carries the
-    // pending prepares along).
-    PMBLADE_RETURN_IF_ERROR(MakeRoomForWrite(lock, /*force=*/false));
-    // MakeRoomForWrite may have dropped the lock; scoop up txn ops that
-    // queued behind the group in the meantime.
-    group.clear();
-    group.push_back(&leader);
-    for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
-      if ((*it)->kind == WriteKind::kBatch) break;
-      group.push_back(*it);
-    }
-    *last_writer = group.back();
-  } else if (!bg_error_.ok()) {
-    return bg_error_;
-  }
-
-  // Stage every member's WAL record under the lock. Members whose op
-  // resolves without IO (unknown-txn commit, idempotent re-commit) get
-  // their individual status here and are excluded from the append run.
-  struct Staged {
-    WriterState* w;
-    std::string record;
-    WriteBatch payload;           // commit only
-    SequenceNumber base_seq = 0;  // commit only
-    uint64_t ticket = 0;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(group.size());
-  SequenceNumber next_seq = last_sequence_;  // running cursor for commits
-  bool group_sync = false;
-  bool staged_commit = false;
-  MemTable* mem = sv_->mem.get();
-  for (WriterState* m : group) {
-    switch (m->kind) {
-      case WriteKind::kTxnPrepare: {
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        EncodePrepareRecord(m->txn_id, *m->participants, m->batch->rep(),
-                            &s.record);
-        group_sync = group_sync || m->sync;
-        break;
-      }
-      case WriteKind::kTxnCommit: {
-        auto it = txns_.find(m->txn_id);
-        if (it == txns_.end()) {
-          m->own_status = true;
-          m->status = Status::InvalidArgument("commit of unknown txn");
-          break;
-        }
-        if (it->second.committed) {  // idempotent
-          m->own_status = true;
-          m->status = Status::OK();
-          break;
-        }
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        s.payload.SetContentsFrom(Slice(it->second.payload));
-        s.base_seq = next_seq + 1;
-        s.payload.SetSequence(s.base_seq);
-        next_seq += s.payload.Count();
-        EncodeCommitRecord(m->txn_id, s.base_seq, &s.record);
-        group_sync = group_sync || m->sync;
-        staged_commit = true;
-        break;
-      }
-      case WriteKind::kTxnRollback: {
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        EncodeRollbackRecord(m->txn_id, &s.record);
-        group_sync = group_sync || m->sync;
-        break;
-      }
-      case WriteKind::kBatch:
-        break;  // unreachable: collection stops at the first kBatch
-    }
-  }
-  const bool leader_validated_out = leader.own_status;
-
-  Status status;
-  if (!staged.empty()) {
-    bool sync_error = false;
-    lock.unlock();
-    {
-      ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
-                              IoClass::kClient);
-      for (Staged& s : staged) {
-        if (status.ok()) status = wal_->AddRecord(s.record);
-        s.ticket =
-            wal_append_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (status.ok() && s.w->kind == WriteKind::kTxnCommit) {
-          PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
-        }
-      }
-      if (status.ok() && group_sync) {
-        status = wal_file_->Sync();
-        if (!status.ok()) {
-          sync_error = true;
-        } else {
-          wal_sync_counter_->Inc();
-          wal_synced_ticket_.store(staged.back().ticket,
-                                   std::memory_order_relaxed);
-          for (Staged& s : staged) {
-            if (s.w->kind == WriteKind::kTxnPrepare) {
-              PMBLADE_SYNC_POINT("DBImpl::PrepareTxn:AfterSync");
-            }
-          }
-        }
-      }
-    }
-    if (status.ok()) {
-      for (Staged& s : staged) {
-        if (s.w->kind != WriteKind::kTxnCommit) continue;
-        NoteGroupWrites(s.payload, mem);
-        status = s.payload.InsertInto(mem);
-        if (!status.ok()) break;
-      }
-    }
-    if (status.ok() && events_.active()) {
-      for (Staged& s : staged) {
-        obs::EventType type = s.w->kind == WriteKind::kTxnPrepare
-                                  ? obs::EventType::kTxnPrepare
-                                  : s.w->kind == WriteKind::kTxnCommit
-                                        ? obs::EventType::kTxnCommit
-                                        : obs::EventType::kTxnRollback;
-        obs::Event event(type, clock_->NowNanos());
-        event.With("txn_id", static_cast<double>(s.w->txn_id));
-        if (s.w->kind == WriteKind::kTxnPrepare) {
-          event.With("participants",
-                     static_cast<double>(s.w->participants->size()))
-              .With("bytes", static_cast<double>(s.w->batch->rep().size()));
-        }
-        events_.Emit(event);
-      }
-    }
-    lock.lock();
-    if (sync_error) {
-      // Same poison rule as the batch path: the WAL tail's durability is
-      // unknown, so no later write may be acknowledged on this log.
-      bg_error_ = status;
-    }
-  }
-
-  if (status.ok()) {
-    if (staged_commit) {
-      // Publish AFTER the memtable inserts, exactly like the batch path: a
-      // reader snapshotting last_sequence_ never observes a torn commit.
-      PMBLADE_SYNC_POINT("DBImpl::CommitTxn:BeforePublish");
-      last_sequence_ = next_seq;
-    }
-    for (Staged& s : staged) {
-      switch (s.w->kind) {
-        case WriteKind::kTxnPrepare: {
-          TxnEntry& entry = txns_[s.w->txn_id];
-          entry.participants = *s.w->participants;
-          entry.payload = s.w->batch->rep();
-          entry.committed = false;
-          entry.marker_ticket = s.ticket;
-          if (s.w->txn_id > max_seen_txn_id_) max_seen_txn_id_ = s.w->txn_id;
-          txn_prepared_counter_->Inc();
-          break;
-        }
-        case WriteKind::kTxnCommit: {
-          auto it = txns_.find(s.w->txn_id);  // re-find: mu_ was released
-          if (it != txns_.end()) {
-            it->second.committed = true;
-            it->second.base_seq = s.base_seq;
-            it->second.marker_ticket = s.ticket;
-          }
-          txn_committed_counter_->Inc();
-          break;
-        }
-        case WriteKind::kTxnRollback:
-          txns_.erase(s.w->txn_id);
-          txn_rolled_back_counter_->Inc();
-          break;
-        case WriteKind::kBatch:
-          break;
-      }
-    }
-  }
-
-  // Stamp the group outcome on every member that went through the IO path
-  // so the caller's wake loop leaves validation outcomes untouched; the
-  // leader's own result is the return value.
-  for (Staged& s : staged) {
-    s.w->own_status = true;
-    s.w->status = status;
-  }
-  return leader_validated_out ? leader.status : status;
 }
 
 std::vector<DBImpl::InDoubtTxn> DBImpl::GetInDoubtTxns() {
@@ -1340,48 +1300,6 @@ std::vector<uint64_t> DBImpl::GetRetainedTxnIds() {
   for (const auto& entry : txns_) result.push_back(entry.first);
   for (uint64_t txn_id : replay_committed_) result.push_back(txn_id);
   for (uint64_t txn_id : replay_rolled_back_) result.push_back(txn_id);
-  return result;
-}
-
-WriteBatch* DBImpl::BuildBatchGroup(WriterState** last_writer, bool* sync,
-                                    size_t* num_members) {
-  WriterState* first = writers_.front();
-  WriteBatch* result = first->batch;
-  size_t size = result->ApproximateSize();
-  *sync = first->sync;
-  *last_writer = first;
-  *num_members = 1;
-
-  // Cap the group at 1 MiB, and tighter when the leader itself is small so
-  // tiny writes aren't delayed behind megabytes of followers.
-  size_t max_size = kWriteGroupMaxBytes;
-  if (size <= (128 << 10) && size + (128 << 10) < max_size) {
-    max_size = size + (128 << 10);
-  }
-
-  for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
-    WriterState* candidate = *it;
-    // A force-flush marker or txn op must lead its own turn; stop
-    // coalescing there.
-    if (candidate->batch == nullptr ||
-        candidate->kind != WriteKind::kBatch) {
-      break;
-    }
-    if (size + candidate->batch->ApproximateSize() > max_size) break;
-    if (result == first->batch) {
-      // Switch to the scratch batch; the leader's own batch is untouched.
-      group_batch_.Clear();
-      group_batch_.Append(*result);
-      result = &group_batch_;
-    }
-    group_batch_.Append(*candidate->batch);
-    size += candidate->batch->ApproximateSize();
-    // One fsync covers the whole group: any member that wants durability
-    // upgrades everyone (the satellite cost is zero — see Options docs).
-    *sync |= candidate->sync;
-    *last_writer = candidate;
-    ++*num_members;
-  }
   return result;
 }
 

@@ -1,10 +1,11 @@
 // DBImpl: the engine behind pmblade::DB.
 //
 // Threading model (the concurrent write pipeline):
-//   * Writes go through a leader/follower writer queue. The front writer
-//     (leader) coalesces pending batches into one group, appends it to the
-//     WAL, fsyncs ONCE if any member asked for durability, and inserts into
-//     the memtable — all OUTSIDE the DB mutex (queue order makes the
+//   * Writes and 2PC records go through one leader/follower writer queue.
+//     The front writer (leader) groups the writers queued behind it —
+//     batches with batches, txn ops with txn ops — appends the group's WAL
+//     records, fsyncs ONCE if any member asked for durability, and inserts
+//     into the memtable, all OUTSIDE the DB mutex (queue order makes the
 //     WAL/memtable section single-writer). Sequence visibility is published
 //     under the mutex only after the whole group is in the memtable, so
 //     readers never observe a torn group.
@@ -123,8 +124,9 @@ class DBImpl final : public DB {
   };
 
   /// Phase 1: append + fsync a kPrepare record carrying `batch` and buffer
-  /// it. Goes through the writer queue as its own commit group. A prepare
-  /// always syncs, so `options` is not consulted.
+  /// it. Goes through the writer queue, sharing one fsync with the txn ops
+  /// queued beside it. A prepare always syncs, so `options` is not
+  /// consulted.
   Status PrepareTxn(const WriteOptions& options, uint64_t txn_id,
                     const std::vector<uint32_t>& participants,
                     WriteBatch* batch);
@@ -177,9 +179,10 @@ class DBImpl final : public DB {
  private:
   struct RecordedRead;
 
-  /// What a queued writer asks the leader to do. Txn ops form their own
-  /// single-member commit groups (BuildBatchGroup never coalesces across
-  /// them), keeping the WAL record <-> writer mapping one-to-one.
+  /// What a queued writer asks the leader to do. A group holds one class:
+  /// coalesced batches (one WAL record for the whole group), or txn ops
+  /// (one WAL record per op, sharing the group's one fsync); batches and
+  /// txn ops never share a group.
   enum class WriteKind : uint8_t { kBatch, kTxnPrepare, kTxnCommit,
                                    kTxnRollback };
 
@@ -196,24 +199,22 @@ class DBImpl final : public DB {
     uint64_t txn_id = 0;
     const std::vector<uint32_t>* participants = nullptr;  // kTxnPrepare only
     bool done = false;
-    /// Set when the leader already decided this writer's individual status
-    /// (txn-group members, validation outcomes); the wake loop must not
+    /// Set when staging already settled this writer's own status (a commit
+    /// of an unknown txn, or a repeated commit); the wake loop must not
     /// overwrite it with the group status.
     bool own_status = false;
     Status status;
     std::condition_variable cv;
   };
 
-  /// Shared queue-join + leader dispatch behind Write and the txn ops.
+  /// The one write pipeline behind Write and the txn ops: queue join, then
+  /// for the leader collect -> make room -> stage -> unlocked WAL append,
+  /// one fsync and memtable insert -> publish -> wake the group.
   Status WriteInternal(WriterState& w);
-  /// Leader-only: executes the leader's txn op plus every txn op queued
-  /// directly behind it as ONE commit group — a single WAL append run and
-  /// at most one shared fsync (the txn mirror of BuildBatchGroup). Enters
-  /// and leaves with `lock` held; the WAL append / fsync / memtable inserts
-  /// run unlocked, like the batch path. Advances `*last_writer` to the last
-  /// coalesced member so the caller's wake loop covers the whole group.
-  Status TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
-                             WriterState& leader, WriterState** last_writer);
+  /// Leader-only, mu_ held. Fills group_ with `leader` and the writers
+  /// queued directly behind it of the same class (batch or txn), stopping
+  /// at a force-flush marker and, for batches, at the group byte cap.
+  void CollectWriteGroupLocked(WriterState* leader);
   /// Re-appends buffered prepares (and commit markers for fences) into the
   /// freshly rotated WAL, then fsyncs it if anything was carried: the old
   /// copies die with their WAL at the next flush commit, so the new WAL
@@ -238,10 +239,6 @@ class DBImpl final : public DB {
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
   /// mu_ held, no imm: mem -> imm, new WAL, schedule the flush.
   Status SwitchMemTableLocked();
-  /// Coalesces writers_ [front, ...] into one batch; *sync becomes the OR
-  /// of every member's sync flag, *num_members the group width. mu_ held.
-  WriteBatch* BuildBatchGroup(WriterState** last_writer, bool* sync,
-                              size_t* num_members);
   /// Runs on flush_pool_: builds per-partition L0 tables from imm without
   /// the mutex, installs them + commits the manifest under it, wakes
   /// stalled writers, then enqueues the compaction triggers to the
@@ -388,7 +385,21 @@ class DBImpl final : public DB {
   // touches the WAL and memtable, which is what makes the unlocked commit
   // section safe.
   std::deque<WriterState*> writers_;
-  WriteBatch group_batch_;  // leader scratch for coalesced groups
+  /// One WAL record of a write group: the coalesced batch group, or one
+  /// txn op's prepare/commit/rollback record.
+  struct StagedRecord {
+    explicit StagedRecord(WriterState* w) : writer(w) {}
+    WriterState* writer;      // the member it logs (a batch group: leader)
+    std::string txn_record;   // empty for a batch group, which logs payload
+    WriteBatch commit_batch;  // a commit's buffered sub-batch
+    WriteBatch* payload = nullptr;  // what the memtable gets, if anything
+    uint64_t ticket = 0;            // its WAL append ticket
+  };
+  // Leader scratch, reused across groups: once warm, grouping and staging
+  // a plain batch allocates nothing.
+  std::vector<WriterState*> group_;   // the current group's members
+  std::vector<StagedRecord> staged_;  // its WAL records, in append order
+  WriteBatch group_batch_;            // a coalesced batch group
 
   // ---- two-phase-commit state (guarded by mu_ unless noted) ----
   /// A prepared (and possibly committed) transaction this shard

@@ -25,20 +25,24 @@ constexpr uint32_t kHeaderSize = 32;
 
 Status ArrayTable::Open(PmPool* pool, uint64_t id,
                         std::shared_ptr<ArrayTable>* table) {
-  char* data = pool->DataFor(id);
+  uint64_t object_size = 0;
+  char* data = pool->DataFor(id, &object_size);
   if (data == nullptr) {
     return Status::NotFound("array table: no such pool object");
+  }
+  if (object_size < kHeaderSize) {
+    return Status::Corruption("array table: pool object smaller than header");
   }
   std::shared_ptr<ArrayTable> t(new ArrayTable());
   t->pool_ = pool;
   t->id_ = id;
   t->base_ = data;
-  PMBLADE_RETURN_IF_ERROR(t->Validate());
+  PMBLADE_RETURN_IF_ERROR(t->Validate(object_size));
   *table = std::move(t);
   return Status::OK();
 }
 
-Status ArrayTable::Validate() {
+Status ArrayTable::Validate(uint64_t object_size) {
   if (memcmp(base_, kMagic, 4) != 0) {
     return Status::Corruption("array table: bad magic");
   }
@@ -46,9 +50,21 @@ Status ArrayTable::Validate() {
     return Status::Corruption("array table: header crc mismatch");
   }
   num_entries_ = DecodeFixed32(base_ + 4);
-  offsets_ = base_ + DecodeFixed32(base_ + 8);
-  data_ = base_ + DecodeFixed32(base_ + 12);
+  const uint32_t offsets_off = DecodeFixed32(base_ + 8);
+  const uint32_t data_off = DecodeFixed32(base_ + 12);
   size_bytes_ = DecodeFixed32(base_ + 16);
+  if (size_bytes_ > object_size) {
+    return Status::Corruption("array table: image larger than its pool object");
+  }
+  // Header, offsets and data are laid out in order inside the image, the
+  // offsets area sized for num_entries_.
+  if (offsets_off < kHeaderSize || data_off < offsets_off ||
+      size_bytes_ < data_off ||
+      data_off - offsets_off < uint64_t{num_entries_} * 4) {
+    return Status::Corruption("array table: bad area offsets");
+  }
+  offsets_ = base_ + offsets_off;
+  data_ = base_ + data_off;
   limit_ = base_ + size_bytes_;
 
   if (num_entries_ > 0) {
@@ -68,6 +84,7 @@ Status ArrayTable::Validate() {
 bool ArrayTable::DecodeEntry(uint32_t i, Slice* key, Slice* value) const {
   if (i >= num_entries_) return false;
   uint32_t off = DecodeFixed32(offsets_ + uint64_t{i} * 4);
+  if (off > limit_ - data_) return false;
   const char* p = data_ + off;
   uint32_t klen = 0, vlen = 0;
   p = GetVarint32Ptr(p, limit_, &klen);

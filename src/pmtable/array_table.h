@@ -41,7 +41,7 @@ class ArrayTable : public L0Table,
   friend class ArrayTableBuilder;
   ArrayTable() = default;
 
-  Status Validate();
+  Status Validate(uint64_t object_size);
 
   /// Decodes entry `i`; returns false on corruption.
   bool DecodeEntry(uint32_t i, Slice* key, Slice* value) const;

@@ -30,20 +30,24 @@ constexpr uint32_t kHeaderSize = 32;
 
 Status SnappyTable::Open(PmPool* pool, uint64_t id,
                          std::shared_ptr<SnappyTable>* table) {
-  char* data = pool->DataFor(id);
+  uint64_t object_size = 0;
+  char* data = pool->DataFor(id, &object_size);
   if (data == nullptr) {
     return Status::NotFound("snappy table: no such pool object");
+  }
+  if (object_size < kHeaderSize) {
+    return Status::Corruption("snappy table: pool object smaller than header");
   }
   std::shared_ptr<SnappyTable> t(new SnappyTable());
   t->pool_ = pool;
   t->id_ = id;
   t->base_ = data;
-  PMBLADE_RETURN_IF_ERROR(t->Validate());
+  PMBLADE_RETURN_IF_ERROR(t->Validate(object_size));
   *table = std::move(t);
   return Status::OK();
 }
 
-Status SnappyTable::Validate() {
+Status SnappyTable::Validate(uint64_t object_size) {
   if (memcmp(base_, kMagic, 4) != 0) {
     return Status::Corruption("snappy table: bad magic");
   }
@@ -53,9 +57,21 @@ Status SnappyTable::Validate() {
   num_entries_ = DecodeFixed32(base_ + 4);
   num_groups_ = DecodeFixed32(base_ + 8);
   group_size_ = DecodeFixed32(base_ + 12);
-  offsets_ = base_ + DecodeFixed32(base_ + 16);
-  data_ = base_ + DecodeFixed32(base_ + 20);
+  const uint32_t offsets_off = DecodeFixed32(base_ + 16);
+  const uint32_t data_off = DecodeFixed32(base_ + 20);
   size_bytes_ = DecodeFixed32(base_ + 24);
+  if (size_bytes_ > object_size) {
+    return Status::Corruption("snappy table: image larger than its pool object");
+  }
+  // Header, group bounds + counts and data are laid out in order inside the
+  // image, the bounds and counts sized for num_groups_.
+  if (offsets_off < kHeaderSize || data_off < offsets_off ||
+      size_bytes_ < data_off ||
+      data_off - offsets_off < (2 * uint64_t{num_groups_} + 1) * 4) {
+    return Status::Corruption("snappy table: bad area offsets");
+  }
+  offsets_ = base_ + offsets_off;
+  data_ = base_ + data_off;
   limit_ = base_ + size_bytes_;
 
   if (num_entries_ > 0) {

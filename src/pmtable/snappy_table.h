@@ -46,7 +46,7 @@ class SnappyTable : public L0Table,
   friend class SnappyTableIter;
   SnappyTable() = default;
 
-  Status Validate();
+  Status Validate(uint64_t object_size);
 
   /// Decompresses group `g` into *out as concatenated
   /// (varint klen | varint vlen | key | value) records; injects the PM read

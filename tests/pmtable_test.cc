@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <new>
@@ -378,6 +379,111 @@ TEST_F(PmTableEnv, OpenRejectsDamagedLayoutFields) {
   ASSERT_TRUE(pool_->Allocate(32, kPmTableObject, &info, &tiny).ok());
   memcpy(tiny, pristine.data(), 32);
   EXPECT_TRUE(PmTable::Open(pool_.get(), info.id, &reopened).IsCorruption());
+}
+
+// The array and LZ baselines share a 32-byte header whose last fixed32
+// before the crc is the image size; each is damaged the same way.
+struct BaselineLayout {
+  const char* name;
+  size_t offsets_field, data_field, size_field, crc_field;
+  std::function<uint64_t(PmPool*)> build;  // returns the new object's id
+  std::function<Status(PmPool*, uint64_t)> open;
+};
+
+std::vector<BaselineLayout> BaselineLayouts() {
+  auto fill = [](auto* builder) {
+    for (int i = 0; i < 50; ++i) {
+      char key[16];
+      snprintf(key, sizeof(key), "key%05d", i);
+      builder->Add(IKey(key, 5), "v" + std::to_string(i));
+    }
+  };
+  return {
+      {"array", 8, 12, 16, 20,
+       [fill](PmPool* pool) {
+         ArrayTableBuilder b(pool);
+         fill(&b);
+         std::shared_ptr<ArrayTable> t;
+         EXPECT_TRUE(b.Finish(&t).ok());
+         return t->id();
+       },
+       [](PmPool* pool, uint64_t id) {
+         std::shared_ptr<ArrayTable> t;
+         return ArrayTable::Open(pool, id, &t);
+       }},
+      {"snappy", 16, 20, 24, 28,
+       [fill](PmPool* pool) {
+         SnappyTableBuilder b(pool, 8);
+         fill(&b);
+         std::shared_ptr<SnappyTable> t;
+         EXPECT_TRUE(b.Finish(&t).ok());
+         return t->id();
+       },
+       [](PmPool* pool, uint64_t id) {
+         std::shared_ptr<SnappyTable> t;
+         return SnappyTable::Open(pool, id, &t);
+       }},
+  };
+}
+
+TEST_F(PmTableEnv, BaselineOpenRejectsSizesBeyondTheObject) {
+  for (const BaselineLayout& layout : BaselineLayouts()) {
+    SCOPED_TRACE(layout.name);
+    const uint64_t id = layout.build(pool_.get());
+    uint64_t object_size = 0;
+    char* image = pool_->DataFor(id, &object_size);
+    ASSERT_NE(image, nullptr);
+    const uint32_t size = DecodeFixed32(image + layout.size_field);
+    ASSERT_EQ(size, object_size);
+    const std::string pristine(image, size);
+    auto set_field = [&](size_t offset, uint32_t value) {
+      EncodeFixed32(image + offset, value);
+      EncodeFixed32(image + layout.crc_field,
+                    crc32c::Value(image, layout.crc_field));
+    };
+    const struct {
+      const char* what;
+      size_t offset;
+      uint32_t value;
+    } damages[] = {
+        {"size beyond object", layout.size_field, size + 4096},
+        {"offsets area past size", layout.offsets_field, size + 1},
+        {"data area past size", layout.data_field, size + 1},
+    };
+    for (const auto& d : damages) {
+      set_field(d.offset, d.value);
+      Status s = layout.open(pool_.get(), id);
+      EXPECT_TRUE(s.IsCorruption()) << d.what << ": " << s.ToString();
+      memcpy(image, pristine.data(), pristine.size());
+    }
+    EXPECT_TRUE(layout.open(pool_.get(), id).ok());
+  }
+}
+
+TEST_F(PmTableEnv, BaselineOpenRejectsTruncatedObjects) {
+  for (const BaselineLayout& layout : BaselineLayouts()) {
+    SCOPED_TRACE(layout.name);
+    const uint64_t id = layout.build(pool_.get());
+    uint64_t object_size = 0;
+    const char* image = pool_->DataFor(id, &object_size);
+    ASSERT_NE(image, nullptr);
+    // The image cut short by 8 bytes, its header (size field and crc) intact.
+    PmPool::ObjectInfo info;
+    char* cut = nullptr;
+    ASSERT_TRUE(pool_->Allocate(object_size - 8, kArrayTableObject, &info,
+                                &cut)
+                    .ok());
+    memcpy(cut, image, object_size - 8);
+    Status s = layout.open(pool_.get(), info.id);
+    EXPECT_TRUE(s.IsCorruption()) << "truncated image: " << s.ToString();
+    // An object too small to hold the 32-byte header.
+    char* tiny = nullptr;
+    ASSERT_TRUE(
+        pool_->Allocate(16, kArrayTableObject, &info, &tiny).ok());
+    memcpy(tiny, image, 16);
+    s = layout.open(pool_.get(), info.id);
+    EXPECT_TRUE(s.IsCorruption()) << "16-byte object: " << s.ToString();
+  }
 }
 
 TEST_F(PmTableEnv, GetAndSeekReportTheSameMalformedEntry) {

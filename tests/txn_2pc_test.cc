@@ -9,14 +9,20 @@
 //   * recovery resolution: all prepares durable and no commit marker =>
 //     COMMIT; a missing participant prepare => ROLL BACK — reopen is
 //     all-or-nothing either way,
-//   * the pmblade.txn.* metrics move.
+//   * the pmblade.txn.* metrics move, txn groups count in the write-group
+//     instruments and their fsyncs are traced,
+//   * txn ops queued behind a txn leader share one fsync, and a batch queued
+//     behind them never joins their group.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/db.h"
@@ -26,6 +32,8 @@
 #include "memtable/txn_record.h"
 #include "memtable/wal.h"
 #include "memtable/write_batch.h"
+#include "obs/event.h"
+#include "util/sync_point.h"
 
 namespace pmblade {
 namespace {
@@ -373,6 +381,140 @@ TEST_F(Txn2pcTest, TxnMetricsMove) {
   ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared_after));
   EXPECT_EQ(prepared_after, prepared);
 }
+
+double ShardMetric(DBImpl* shard, const std::string& name) {
+  double value = -1;
+  EXPECT_TRUE(shard->metrics()->Read(name, &value)) << name;
+  return value;
+}
+
+TEST_F(Txn2pcTest, TxnGroupsCountTowardWritesPerSync) {
+  Open();
+  constexpr int kBatches = 6;
+  for (int i = 0; i < kBatches; ++i) {
+    WriteBatch batch;
+    for (uint32_t shard = 0; shard < kShards; ++shard) {
+      batch.Put(KeyForShard(shard, 300 + i), "g");
+    }
+    ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  }
+
+  // Every prepare and commit is a member of some write group, so both
+  // sides of writes_per_sync count the same groups on every shard.
+  double writes = 0, syncs = 0;
+  for (uint32_t shard = 0; shard < kShards; ++shard) {
+    SCOPED_TRACE(shard);
+    DBImpl* impl = sharded()->shard(shard);
+    const double shard_writes =
+        ShardMetric(impl, "pmblade.write.group_writes");
+    const double shard_syncs = ShardMetric(impl, "pmblade.wal.syncs");
+    EXPECT_GE(shard_writes, 2.0 * kBatches);  // a prepare + a commit each
+    EXPECT_GE(ShardMetric(impl, "pmblade.write.groups"), 1.0);
+    ASSERT_GT(shard_syncs, 0.0);
+    EXPECT_DOUBLE_EQ(ShardMetric(impl, "pmblade.write.writes_per_sync"),
+                     shard_writes / shard_syncs);
+    writes += shard_writes;
+    syncs += shard_syncs;
+  }
+  double facade = 0;
+  ASSERT_TRUE(
+      db_->metrics_registry()->Read("pmblade.write.writes_per_sync", &facade));
+  EXPECT_DOUBLE_EQ(facade, writes / syncs);
+}
+
+TEST_F(Txn2pcTest, PrepareFsyncsAreTraced) {
+  Open();
+  WriteBatch batch;
+  for (uint32_t shard = 0; shard < kShards; ++shard) {
+    batch.Put(KeyForShard(shard, 400), "t");
+  }
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+
+  for (uint32_t shard = 0; shard < kShards; ++shard) {
+    obs::TraceRecorder* trace = sharded()->shard(shard)->trace();
+    ASSERT_NE(trace, nullptr);
+    int wal_syncs = 0;
+    for (const obs::Event& event : trace->Snapshot()) {
+      if (event.type != obs::EventType::kWalSync) continue;
+      ++wal_syncs;
+      EXPECT_GT(event.FieldOr("bytes", 0), 0.0) << "shard " << shard;
+      EXPECT_GE(event.FieldOr("writes", 0), 1.0) << "shard " << shard;
+    }
+    EXPECT_GE(wal_syncs, 1) << "shard " << shard << " traced no prepare fsync";
+  }
+}
+
+#ifdef PMBLADE_SYNC_POINTS
+TEST_F(Txn2pcTest, QueuedPreparesShareOneFsyncAndBatchesStayOut) {
+  Open();
+  DBImpl* impl = sharded()->shard(0);
+  constexpr uint64_t kLeaderTxn = 1u << 20;
+  constexpr int kQueued = 4;
+  const std::vector<uint32_t> participants{0};
+  auto prepare = [&](uint64_t txn_id) {
+    WriteBatch sub;
+    sub.Put(KeyForShard(0, static_cast<int>(txn_id % 1000)), "p");
+    EXPECT_TRUE(
+        impl->PrepareTxn(WriteOptions(), txn_id, participants, &sub).ok());
+  };
+  auto wait_for_queue_depth = [&](double depth) {
+    for (int i = 0; i < 10000; ++i) {
+      if (ShardMetric(impl, "pmblade.write.queue_depth") >= depth) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FAIL() << "writer queue never reached depth " << depth;
+  };
+
+  // Hold the first txn leader after its own fsync, with the queue locked
+  // behind it, while the other writers line up.
+  std::atomic<bool> armed{true}, pinned{false}, release{false};
+  std::atomic<double> prepared_at_batch_append{-1};
+  auto* sp = SyncPoint::GetInstance();
+  sp->SetCallBack("DBImpl::PrepareTxn:AfterSync", [&](void*) {
+    if (!armed.exchange(false)) return;
+    pinned.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  sp->SetCallBack("DBImpl::Write:AfterWalAppend", [&](void*) {
+    prepared_at_batch_append.store(ShardMetric(impl, "pmblade.txn.prepared"));
+  });
+  sp->EnableProcessing();
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(prepare, kLeaderTxn);
+  while (!pinned.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double syncs_at_pin = ShardMetric(impl, "pmblade.wal.syncs");
+  for (int i = 1; i <= kQueued; ++i) {
+    threads.emplace_back(prepare, kLeaderTxn + i);
+  }
+  wait_for_queue_depth(1 + kQueued);
+  threads.emplace_back([&] {
+    WriteBatch batch;
+    batch.Put(KeyForShard(0, 401), "b");
+    WriteOptions sync;
+    sync.sync = true;
+    EXPECT_TRUE(impl->Write(sync, &batch).ok());
+  });
+  wait_for_queue_depth(2 + kQueued);
+  release.store(true);
+  for (std::thread& t : threads) t.join();
+  sp->DisableProcessing();
+  sp->Reset();
+
+  // One fsync for the queued prepares, one for the synced batch: had the
+  // batch joined the txn group, the two would be one.
+  EXPECT_EQ(ShardMetric(impl, "pmblade.wal.syncs"), syncs_at_pin + 2);
+  // The batch group appended only after every prepare had finished.
+  EXPECT_EQ(prepared_at_batch_append.load(), 1.0 + kQueued);
+  for (int i = 0; i <= kQueued; ++i) {
+    EXPECT_TRUE(impl->RollbackTxn(WriteOptions(), kLeaderTxn + i).ok());
+  }
+}
+#endif  // PMBLADE_SYNC_POINTS
 
 }  // namespace
 }  // namespace pmblade
